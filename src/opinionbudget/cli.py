@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "node_limit") or args.command in ("solve", "sweep"):
+    if args.command in ("solve", "sweep"):
         limit = os.environ.get("OBO_NODE_LIMIT")
         args.node_limit = int(limit) if limit else None
     try:

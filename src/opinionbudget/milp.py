@@ -1,8 +1,10 @@
 """Supporter maximization in the presence of transient states.
 
-Branch and bound on the binary supporter indicators with LP-relaxation
-bounds from the bounded-variable simplex, a supporter-set enumeration
-oracle for small instances, and budget sweeps.  The supporter count is
+Branch and bound with LP-relaxation bounds from the bounded-variable
+simplex, a supporter-set enumeration oracle for small instances, and
+budget sweeps.  The binary decisions are one indicator per class /
+transient agent: every member of an ergodic class settles on the class
+consensus, so a class is won or lost as a whole.  The supporter count is
 optimized first; among maximum-count plans the cheapest payment
 certificate wins, ties resolved toward the lexicographically smallest
 payment vector.  Reported payments are rounded up to whole dollars when
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain_analysis import ChainAnalysis, analyze, evaluate_plan
-from .decompose import decompose
+from .decompose import Decomposition, decompose
 from .lp import LinearProgram, LpResult, solve_lp
 from .model import BUDGET_TOL, OPINION_TOL, Instance, PaymentPlan, confidence_matrix
 
@@ -37,20 +39,18 @@ class TooLarge(ValueError):
 class MilpInstance:
     """Data of the linearized supporter problem for one budget.
 
-    ``hitting_matrix`` is n x m (absorption probabilities per class),
-    ``baseline`` the zero-payment asymptotic opinions, and ``lower_bound``
-    their minimum: the constant that makes the indicator linearization
-    valid.  ``pay_agents`` are the recurrent agents (the only ones whose
-    payments matter), ``caps`` their maximum useful payments, and
-    ``rates[i, a]`` the increase of agent ``i``'s limit opinion per dollar
-    paid to ``pay_agents[a]``.  ``degenerate`` marks the trivial case
-    where the zero-payment minimum already clears the threshold.
+    ``baseline`` holds the zero-payment asymptotic opinions and
+    ``lower_bound`` their minimum: the constant that makes the indicator
+    linearization valid.  ``pay_agents`` are the recurrent agents (the
+    only ones whose payments matter), ``caps`` their maximum useful
+    payments, and ``rates[i, a]`` the increase of agent ``i``'s limit
+    opinion per dollar paid to ``pay_agents[a]``.  ``degenerate`` marks
+    the trivial case where the zero-payment minimum already clears the
+    threshold.
     """
 
     instance: Instance
     analysis: ChainAnalysis
-    hitting_matrix: np.ndarray
-    pi: tuple[np.ndarray, ...]
     threshold: float
     budget: float
     lower_bound: float
@@ -86,71 +86,68 @@ class SweepCurve:
 def build_milp(instance: Instance, analysis: ChainAnalysis, budget: float | None = None) -> MilpInstance:
     """Assemble the linearized problem data from a completed chain analysis."""
     d = analysis.decomposition
-    n = instance.n
-    m = len(d.classes)
-    hitting = np.column_stack(analysis.hitting) if m else np.zeros((n, 0))
     baseline = analysis.asymptotic
     lower_bound = float(baseline.min())
-    threshold = instance.threshold
     b = instance.budget if budget is None else float(budget)
 
     pay_agents = tuple(sorted(i for members in d.classes for i in members))
     caps = np.array([
         instance.costs[a] * (1.0 - instance.true_opinions[a]) for a in pay_agents
     ])
-    rates = np.zeros((n, len(pay_agents)))
+    rates = np.zeros((instance.n, len(pay_agents)))
     for col, a in enumerate(pay_agents):
         k = d.class_of[a]
         pos = d.classes[k].index(a)
-        rates[:, col] = hitting[:, k] * analysis.pi[k][pos] / instance.costs[a]
+        rates[:, col] = analysis.hitting[k] * analysis.pi[k][pos] / instance.costs[a]
 
-    hitting.flags.writeable = False
     caps.flags.writeable = False
     rates.flags.writeable = False
     return MilpInstance(
         instance=instance,
         analysis=analysis,
-        hitting_matrix=hitting,
-        pi=analysis.pi,
-        threshold=threshold,
+        threshold=instance.threshold,
         budget=b,
         lower_bound=lower_bound,
         baseline=baseline,
         pay_agents=pay_agents,
         caps=caps,
         rates=rates,
-        degenerate=lower_bound >= threshold,
+        degenerate=lower_bound >= instance.threshold,
     )
 
 
-def _node_program(mi: MilpInstance, zlo, zup, objective, min_count=None) -> LinearProgram:
-    """LP over [payments | indicators] with the node's indicator bounds.
+def _units(decomposition: Decomposition) -> list[tuple[int, ...]]:
+    """Decision units: each ergodic class, then each transient agent alone.
 
-    Rows: the budget, one linking row per agent
-    ``(x* - L) z_i - sum_a rates[i, a] p_a <= baseline_i - L``,
-    and optionally a minimum total-indicator row.
+    Members of a class share their limit opinion, so the first member
+    stands for the whole class in its linking row.
     """
-    n = mi.instance.n
-    q = len(mi.pay_agents)
-    span = mi.threshold - mi.lower_bound
-    rows = np.zeros((1 + n + (min_count is not None), q + n))
-    senses: list[str] = []
-    rhs = np.zeros(rows.shape[0])
+    return ([tuple(members) for members in decomposition.classes]
+            + [(t,) for t in decomposition.transient])
+
+
+def _node_program(mi: MilpInstance, units, zlo, zup, objective, min_count=None) -> LinearProgram:
+    """LP over [payments | indicators], one indicator per class / transient agent.
+
+    Rows: the budget, one linking row per unit with representative ``r``
+    ``(x* - L) z_u - sum_a rates[r, a] p_a <= baseline_r - L``,
+    and optionally a minimum supporter-count row ``sum_u |u| z_u >= min_count``.
+    """
+    q, k = len(mi.pay_agents), len(units)
+    reps = [u[0] for u in units]
+    rows = np.zeros((1 + k + (min_count is not None), q + k))
     rows[0, :q] = 1.0
-    senses.append("<=")
-    rhs[0] = mi.budget
-    for i in range(n):
-        rows[1 + i, :q] = -mi.rates[i]
-        rows[1 + i, q + i] = span
-        senses.append("<=")
-        rhs[1 + i] = mi.baseline[i] - mi.lower_bound
+    rows[1:1 + k, :q] = -mi.rates[reps]
+    rows[1:1 + k, q:] = (mi.threshold - mi.lower_bound) * np.eye(k)
+    rhs = [mi.budget, *(mi.baseline[reps] - mi.lower_bound)]
+    senses = ("<=",) * (1 + k)
     if min_count is not None:
-        rows[-1, q:] = 1.0
-        senses.append(">=")
-        rhs[-1] = float(min_count)
+        rows[-1, q:] = [len(u) for u in units]
+        rhs.append(float(min_count))
+        senses += (">=",)
     lower = np.concatenate([np.zeros(q), zlo])
     upper = np.concatenate([mi.caps, zup])
-    return LinearProgram(objective, rows, tuple(senses), rhs, lower, upper)
+    return LinearProgram(objective, rows, senses, np.array(rhs), lower, upper)
 
 
 def _branch_var(z: np.ndarray, zlo, zup) -> int | None:
@@ -174,13 +171,11 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
     return False
 
 
-def _min_spend_for_set(mi: MilpInstance, chosen: frozenset[int]) -> LpResult:
-    """Cheapest payments making every agent in ``chosen`` a supporter."""
-    n = mi.instance.n
-    q = len(mi.pay_agents)
-    zlo = np.array([1.0 if i in chosen else 0.0 for i in range(n)])
-    objective = np.concatenate([-np.ones(q), np.zeros(n)])
-    return solve_lp(_node_program(mi, zlo, zlo, objective))
+def _min_spend_for_set(mi: MilpInstance, units, chosen: np.ndarray) -> LpResult:
+    """Cheapest payments making every unit with ``chosen[u] == 1`` a supporter."""
+    zfix = np.asarray(chosen, dtype=float)
+    objective = np.concatenate([-np.ones(len(mi.pay_agents)), np.zeros(len(units))])
+    return solve_lp(_node_program(mi, units, zfix, zfix, objective))
 
 
 def _round_payments_up(pay: np.ndarray, caps: np.ndarray, budget: float) -> np.ndarray:
@@ -203,6 +198,40 @@ def _finish(mi: MilpInstance, pay_q: np.ndarray, nodes: int, proven: bool,
     return MilpSolution(plan, len(plan.supporters), "proven" if proven else "heuristic", nodes)
 
 
+def _branch_and_bound(mi: MilpInstance, units, objective, prune, accept,
+                      node_limit: int, min_count=None) -> tuple[int, bool]:
+    """Depth-first branch and bound over the unit indicators.
+
+    Each node solves the LP relaxation under its indicator bounds.  Nodes
+    that are infeasible or that ``prune`` rejects are cut; an integral
+    optimum is handed to ``accept``; otherwise the most fractional
+    indicator is branched on, its 1-branch explored first.  Returns the
+    nodes solved and whether the tree was exhausted within ``node_limit``.
+    """
+    q = len(mi.pay_agents)
+    stack = [(np.zeros(len(units)), np.ones(len(units)))]
+    nodes = 0
+    while stack:
+        if nodes >= node_limit:
+            return nodes, False
+        zlo, zup = stack.pop()
+        nodes += 1
+        res = solve_lp(_node_program(mi, units, zlo, zup, objective, min_count))
+        if res.status != "optimal" or prune(res):
+            continue
+        var = _branch_var(res.x[q:], zlo, zup)
+        if var is None:
+            accept(res)
+            continue
+        lo0, up0 = zlo.copy(), zup.copy()
+        up0[var] = 0.0
+        lo1, up1 = zlo.copy(), zup.copy()
+        lo1[var] = 1.0
+        stack.append((lo0, up0))
+        stack.append((lo1, up1))  # popped first: try making the unit a supporter
+    return nodes, True
+
+
 def solve_milp(mi: MilpInstance, node_limit: int | None = None,
                round_dollars: bool = True) -> MilpSolution:
     """Provably optimal supporter plan by two branch-and-bound passes.
@@ -215,83 +244,48 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
     """
     if node_limit is None:
         node_limit = int(os.environ.get("OBO_NODE_LIMIT", DEFAULT_NODE_LIMIT))
-    n = mi.instance.n
     q = len(mi.pay_agents)
     if mi.degenerate:
         return _finish(mi, np.zeros(q), 0, True, round_dollars)
+    units = _units(mi.analysis.decomposition)
+    sizes = np.array([len(u) for u in units], dtype=float)
 
-    proven = True
-    nodes = 0
-    stage1_obj = np.concatenate([np.zeros(q), np.ones(n)])
+    # Pass 1: maximize the number of supporters.
+    best_z = (mi.baseline[[u[0] for u in units]] >= mi.threshold - OPINION_TOL) * 1.0
+    best_count = int(sizes @ best_z)
 
-    # Pass 1: maximize the number of indicators that can be switched on.
-    best_count = int(np.sum(mi.baseline >= mi.threshold - OPINION_TOL))
-    best_set = frozenset(
-        i for i in range(n) if mi.baseline[i] >= mi.threshold - OPINION_TOL
-    )
-    stack = [(np.zeros(n), np.ones(n))]
-    while stack:
-        if nodes >= node_limit:
-            proven = False
-            break
-        zlo, zup = stack.pop()
-        nodes += 1
-        res = solve_lp(_node_program(mi, zlo, zup, stage1_obj))
-        if res.status != "optimal":
-            continue
-        if math.floor(res.objective + INT_TOL) <= best_count:
-            continue
+    def count_cannot_improve(res):
+        return math.floor(res.objective + INT_TOL) <= best_count
+
+    def take_count(res):
+        nonlocal best_count, best_z
         z = res.x[q:]
-        var = _branch_var(z, zlo, zup)
-        if var is None:
-            count = int(round(float(z.sum())))
-            if count > best_count:
-                best_count = count
-                best_set = frozenset(i for i in range(n) if z[i] >= 0.5)
-            continue
-        lo0, up0 = zlo.copy(), zup.copy()
-        up0[var] = 0.0
-        lo1, up1 = zlo.copy(), zup.copy()
-        lo1[var] = 1.0
-        stack.append((lo0, up0))
-        stack.append((lo1, up1))  # popped first: try making the agent a supporter
+        count = int(round(float(sizes @ z)))
+        if count > best_count:
+            best_count, best_z = count, (z >= 0.5) * 1.0
+
+    nodes, proven = _branch_and_bound(mi, units, np.concatenate([np.zeros(q), sizes]),
+                                      count_cannot_improve, take_count, node_limit)
 
     # Pass 2: cheapest certificate for the optimal count.
-    seed = _min_spend_for_set(mi, best_set)
+    seed = _min_spend_for_set(mi, units, best_z)
     if seed.status != "optimal":
         raise RuntimeError("incumbent supporter set lost feasibility")  # pragma: no cover
-    best_spend = -seed.objective
-    best_pay = seed.x[:q]
-    stage2_obj = np.concatenate([-np.ones(q), np.zeros(n)])
-    stack = [(np.zeros(n), np.ones(n))]
-    while stack:
-        if nodes >= node_limit:
-            proven = False
-            break
-        zlo, zup = stack.pop()
-        nodes += 1
-        res = solve_lp(_node_program(mi, zlo, zup, stage2_obj, min_count=best_count))
-        if res.status != "optimal":
-            continue
-        spend_bound = -res.objective
-        if spend_bound > best_spend + SPEND_TOL:
-            continue
-        z = res.x[q:]
-        var = _branch_var(z, zlo, zup)
-        if var is None:
-            pay = res.x[:q]
-            if spend_bound < best_spend - SPEND_TOL or _lex_smaller(pay, best_pay):
-                best_spend = spend_bound
-                best_pay = pay
-            continue
-        lo0, up0 = zlo.copy(), zup.copy()
-        up0[var] = 0.0
-        lo1, up1 = zlo.copy(), zup.copy()
-        lo1[var] = 1.0
-        stack.append((lo0, up0))
-        stack.append((lo1, up1))
+    best_spend, best_pay = -seed.objective, seed.x[:q]
 
-    return _finish(mi, best_pay, nodes, proven, round_dollars)
+    def spends_more(res):
+        return -res.objective > best_spend + SPEND_TOL
+
+    def take_cheaper(res):
+        nonlocal best_spend, best_pay
+        spend, pay = -res.objective, res.x[:q]
+        if spend < best_spend - SPEND_TOL or _lex_smaller(pay, best_pay):
+            best_spend, best_pay = spend, pay
+
+    more, finished = _branch_and_bound(
+        mi, units, np.concatenate([-np.ones(q), np.zeros(len(units))]),
+        spends_more, take_cheaper, node_limit - nodes, min_count=best_count)
+    return _finish(mi, best_pay, nodes + more, proven and finished, round_dollars)
 
 
 def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
@@ -311,22 +305,21 @@ def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
     if mi.degenerate:
         return _finish(mi, np.zeros(q), 0, True, round_dollars)
 
-    units = [tuple(members) for members in mi.analysis.decomposition.classes]
-    units += [(t,) for t in mi.analysis.decomposition.transient]
+    units = _units(mi.analysis.decomposition)
     candidates = []
     for mask in range(1, 1 << len(units)):
-        agents = tuple(sorted(a for u in range(len(units)) if mask >> u & 1
-                              for a in units[u]))
-        candidates.append(agents)
-    candidates.sort(key=lambda agents: (-len(agents), agents))
+        chosen = [mask >> u & 1 for u in range(len(units))]
+        agents = tuple(sorted(a for u, unit in enumerate(units) if chosen[u] for a in unit))
+        candidates.append((agents, chosen))
+    candidates.sort(key=lambda c: (-len(c[0]), c[0]))
 
     max_val = mi.baseline + mi.rates @ mi.caps
     tried = 0
-    for agents in candidates:
+    for agents, chosen in candidates:
         if any(max_val[i] < mi.threshold - OPINION_TOL for i in agents):
             continue
         tried += 1
-        res = _min_spend_for_set(mi, frozenset(agents))
+        res = _min_spend_for_set(mi, units, chosen)
         if res.status == "optimal":
             return _finish(mi, res.x[:q], tried, True, round_dollars)
     return _finish(mi, np.zeros(q), tried, True, round_dollars)

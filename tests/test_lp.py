@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opinionbudget.lp import LinearProgram, NumericalFailure, solve_lp
-from opinionbudget.milp import build_milp, _node_program
+from opinionbudget.milp import build_milp, _node_program, _units
 
 
 def vertex_oracle(lp):
@@ -134,8 +134,10 @@ def test_paper_relaxation_attains_trivial_bound(paper_instance, paper_analysis):
     # and the integer optimum attains it, so the relaxation value is 12
     mi = build_milp(paper_instance, paper_analysis, budget=309.0)
     q = len(mi.pay_agents)
-    objective = np.concatenate([np.zeros(q), np.ones(paper_instance.n)])
-    lp = _node_program(mi, np.zeros(paper_instance.n), np.ones(paper_instance.n), objective)
+    units = _units(paper_analysis.decomposition)
+    sizes = np.array([len(u) for u in units], dtype=float)
+    objective = np.concatenate([np.zeros(q), sizes])
+    lp = _node_program(mi, units, np.zeros(len(units)), np.ones(len(units)), objective)
     res = solve_lp(lp)
     assert res.status == "optimal"
     assert abs(res.objective - 12.0) <= 1e-7

@@ -1,7 +1,10 @@
 """Branch-and-bound supporter maximization against the enumeration oracle."""
 
+import json
+
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from opinionbudget.chain_analysis import analyze, asymptotic_opinions, evaluate_plan
 from opinionbudget.decompose import decompose
@@ -15,7 +18,7 @@ from opinionbudget.milp import (
 )
 from opinionbudget.model import confidence_matrix, validate
 
-from conftest import random_instance, random_raw
+from conftest import PAPER_EXAMPLE, random_instance, random_raw
 
 
 def nonzero_payments(instance, plan):
@@ -206,3 +209,72 @@ def test_sweep_counts_nondecreasing_random():
         curve = budget_sweep(inst, budgets)
         counts = [sol.supporter_count for sol in curve.solutions]
         assert counts == sorted(counts)
+
+
+def tiled_paper(copies):
+    """Disjoint copies of the paper example, agents renamed per copy."""
+    raw = json.loads(PAPER_EXAMPLE.read_text(encoding="utf-8"))
+    return validate({
+        **raw,
+        "agents": [f"{a}{c}" for c in range(copies) for a in raw["agents"]],
+        "edges": [
+            {"from": f"{e['from']}{c}", "to": f"{e['to']}{c}", "w": e["w"]}
+            for c in range(copies) for e in raw["edges"]
+        ],
+        "opinions": raw["opinions"] * copies,
+        "costs": raw["costs"] * copies,
+    })
+
+
+def highs_per_agent_optimum(mi):
+    """Supporter optimum of the per-agent indicator linearization, by HiGHS."""
+    n, q = mi.instance.n, len(mi.pay_agents)
+    rows = np.zeros((1 + n, q + n))
+    rows[0, :q] = 1.0
+    rows[1:, :q] = -mi.rates
+    rows[1:, q:] = (mi.threshold - mi.lower_bound) * np.eye(n)
+    rhs = np.concatenate([[mi.budget], mi.baseline - mi.lower_bound])
+    res = milp(
+        np.concatenate([np.zeros(q), -np.ones(n)]),
+        constraints=LinearConstraint(rows, -np.inf, rhs),
+        bounds=Bounds(np.zeros(q + n), np.concatenate([mi.caps, np.ones(n)])),
+        integrality=np.concatenate([np.zeros(q), np.ones(n)]),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    return int(round(-res.fun))
+
+
+@pytest.mark.parametrize("budget,count,per_agent_nodes", [(99, 4, 82), (169, 7, 250), (293, 13, 488)])
+def test_tiled_paper_branches_on_units(budget, count, per_agent_nodes):
+    inst = tiled_paper(2)
+    cm = confidence_matrix(inst)
+    mi = build_milp(inst, analyze(cm, decompose(cm), inst.true_opinions), budget=budget)
+    sol = solve_milp(mi)
+    assert sol.supporter_count == count
+    assert sol.optimality == "proven"
+    # one indicator per agent took this many nodes: a class is one decision now
+    assert sol.node_count < per_agent_nodes
+    assert highs_per_agent_optimum(mi) == count
+
+
+def test_tiled_paper_three_copies_matches_highs():
+    inst = tiled_paper(3)
+    cm = confidence_matrix(inst)
+    mi = build_milp(inst, analyze(cm, decompose(cm), inst.true_opinions), budget=779.0)
+    sol = solve_milp(mi)
+    assert sol.optimality == "proven"
+    assert sol.supporter_count == highs_per_agent_optimum(mi) == 30
+
+
+def test_classes_never_split_random():
+    rng = np.random.default_rng(127)
+    for _ in range(30):
+        inst = validate(random_raw(rng, n_min=4, n_max=12))
+        cm = confidence_matrix(inst)
+        an = analyze(cm, decompose(cm), inst.true_opinions)
+        sol = solve_milp(build_milp(inst, an))
+        supporters = set(sol.plan.supporters)
+        for members in an.decomposition.classes:
+            won = {inst.agents[i] in supporters for i in members}
+            assert len(won) == 1
