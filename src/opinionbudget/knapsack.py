@@ -2,7 +2,10 @@
 
 Items are ergodic classes, valued by member count and weighed by the class
 price tag in dollars.  The exact solver runs dynamic programming over the
-total value (values are small integers, weights are real dollars); the
+total value (values are small integers, weights are real dollars): one
+numpy update per item, O(items x total value) work, and one boolean
+decision table of that size from which the selection is backtracked.  Ties
+go to the lightest selection, then the lexicographically smallest.  The
 FPTAS rescales values first and inherits the same DP.
 """
 
@@ -12,7 +15,7 @@ from math import floor
 import numpy as np
 
 from .chain_analysis import ChainAnalysis, evaluate_plan
-from .class_budget import min_budget_for_class
+from .class_budget import ClassBudgetResult, min_budget_for_class
 from .model import Instance, PaymentPlan
 
 
@@ -46,27 +49,62 @@ class KnapsackSolution:
 WEIGHT_TOL = 1e-9
 
 
-def _min_weight_dp(values: list[int], weights: list[float]) -> tuple[list[float], list[tuple[int, ...]]]:
-    """Minimal weight and lexicographically-smallest item set per total value.
+def _min_weight_dp(values: list[int], weights: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal weight per total value, and the decisions that reach it.
 
-    Ties on weight resolve toward the lexicographically smallest selection
-    (items identified by input position), making results deterministic.
+    Returns ``best_w`` (``inf`` where a value is unreachable) and a boolean
+    ``take[item, value]`` table; :func:`_backtrack` reads a selection from
+    it.  Cost: O(items x total value) numpy work and one table of that size.
+
+    Among equal weights the lexicographically smallest selection (items by
+    input position) wins.  ``rank`` orders the current best selections,
+    with the end of a tuple sorting after every index; extending the
+    selection at ``val - v`` beats the one at ``val`` iff its rank is lower.
+    Items are added in input order with the same ``prev + w`` sums as a
+    per-value loop would form, so every weight is bit-identical to it.
+    Value-0 items are never taken.  Unreachable values hold the empty
+    selection, like value 0, so an ``inf`` tie is never taken either.
     """
     total = sum(values)
-    best_w = [np.inf] * (total + 1)
-    best_sel: list[tuple[int, ...]] = [()] * (total + 1)
+    best_w = np.full(total + 1, np.inf)
     best_w[0] = 0.0
+    rank = np.zeros(total + 1, dtype=np.int64)
+    take = np.zeros((len(values), total + 1), dtype=bool)
     for idx, (v, w) in enumerate(zip(values, weights)):
-        for val in range(total, v - 1, -1):
-            prev = best_w[val - v]
-            if prev == np.inf:
-                continue
-            cand_w = prev + w
-            cand_sel = best_sel[val - v] + (idx,)
-            if cand_w < best_w[val] or (cand_w == best_w[val] and cand_sel < best_sel[val]):
-                best_w[val] = cand_w
-                best_sel[val] = cand_sel
-    return best_w, best_sel
+        if v == 0:
+            continue
+        cand = best_w[:-v] + w
+        cur = best_w[v:]
+        row = (cand < cur) | ((cand == cur) & (rank[:-v] < rank[v:]))
+        take[idx, v:] = row
+        cur[row] = cand[row]
+        key = 2 * rank + 1
+        key[v:][row] = 2 * rank[:-v][row]
+        rank = np.unique(key, return_inverse=True)[1].reshape(-1)
+    return best_w, take
+
+
+def _backtrack(take: np.ndarray, values: list[int], val: int) -> tuple[int, ...]:
+    """Item positions of the selection the DP keeps for total value ``val``."""
+    sel = []
+    for idx in reversed(range(len(values))):
+        if take[idx, val]:
+            sel.insert(0, idx)
+            val -= values[idx]
+    return tuple(sel)
+
+
+def _select(items: list[KnapsackItem], values: list[int], budget: float) -> KnapsackSolution:
+    """Highest DP value whose minimal weight fits the budget, as a selection of ``items``."""
+    weights = [it.weight for it in items]
+    best_w, take = _min_weight_dp(values, weights)
+    fits = np.flatnonzero(best_w <= budget + WEIGHT_TOL)
+    sel = _backtrack(take, values, int(fits[-1]) if fits.size else 0)
+    return KnapsackSolution(
+        tuple(items[i].class_index for i in sel),
+        int(sum(items[i].value for i in sel)),
+        float(sum(weights[i] for i in sel)),
+    )
 
 
 def knapsack_exact(items: list[KnapsackItem], budget: float) -> KnapsackSolution:
@@ -75,20 +113,7 @@ def knapsack_exact(items: list[KnapsackItem], budget: float) -> KnapsackSolution
     Among selections of equal value, the lightest wins, then the
     lexicographically smallest.
     """
-    values = [it.value for it in items]
-    weights = [it.weight for it in items]
-    best_w, best_sel = _min_weight_dp(values, weights)
-    pick = 0
-    for val in range(len(best_w) - 1, -1, -1):
-        if best_w[val] <= budget + WEIGHT_TOL:
-            pick = val
-            break
-    sel = best_sel[pick]
-    return KnapsackSolution(
-        tuple(items[i].class_index for i in sel),
-        pick,
-        float(sum(weights[i] for i in sel)),
-    )
+    return _select(items, [it.value for it in items], budget)
 
 
 def knapsack_fptas(items: list[KnapsackItem], budget: float, epsilon: float) -> KnapsackSolution:
@@ -107,38 +132,24 @@ def knapsack_fptas(items: list[KnapsackItem], budget: float, epsilon: float) -> 
     scale = epsilon * vmax / len(fit)
     if scale <= 1.0:
         return knapsack_exact(fit, budget)
+    # Items whose value scales to 0 are never taken by the DP.
+    return _select(fit, [floor(it.value / scale) for it in fit], budget)
 
-    scaled = [floor(it.value / scale) for it in fit]
-    weights = [it.weight for it in fit]
-    best_w, best_sel = _min_weight_dp([max(v, 0) for v in scaled], weights)
-    # scaled value 0 items are free to add only if they carry no weight;
-    # the DP already treats them correctly since their value contributes 0.
-    pick = 0
-    for val in range(len(best_w) - 1, -1, -1):
-        if best_w[val] <= budget + WEIGHT_TOL:
-            pick = val
-            break
-    sel = best_sel[pick]
-    return KnapsackSolution(
-        tuple(fit[i].class_index for i in sel),
-        int(sum(fit[i].value for i in sel)),
-        float(sum(weights[i] for i in sel)),
-    )
+
+def _priced_classes(
+    instance: Instance, analysis: ChainAnalysis
+) -> tuple[list[KnapsackItem], list[ClassBudgetResult]]:
+    """Knapsack items of every ergodic class, and the greedy pricing behind each."""
+    prices = [
+        min_budget_for_class(analysis.pi[k], instance.true_opinions[m], instance.costs[m], instance.threshold)
+        for k, m in enumerate(map(np.asarray, analysis.decomposition.classes))
+    ]
+    return [KnapsackItem(k, len(r.payments), r.total) for k, r in enumerate(prices)], prices
 
 
 def class_items(instance: Instance, analysis: ChainAnalysis) -> list[KnapsackItem]:
     """Price every ergodic class at its minimum threshold-reaching budget."""
-    items = []
-    for k, members in enumerate(analysis.decomposition.classes):
-        idx = np.asarray(members)
-        result = min_budget_for_class(
-            analysis.pi[k],
-            instance.true_opinions[idx],
-            instance.costs[idx],
-            instance.threshold,
-        )
-        items.append(KnapsackItem(k, len(members), result.total))
-    return items
+    return _priced_classes(instance, analysis)[0]
 
 
 def solve_by_classes(
@@ -158,21 +169,10 @@ def solve_by_classes(
             "instance has transient states; class selection is not exact, use the MILP solver"
         )
     b = instance.budget if budget is None else float(budget)
-    items = class_items(instance, analysis)
-    if epsilon is None:
-        solution = knapsack_exact(items, b)
-    else:
-        solution = knapsack_fptas(items, b, epsilon)
-
+    items, prices = _priced_classes(instance, analysis)
+    solution = knapsack_exact(items, b) if epsilon is None else knapsack_fptas(items, b, epsilon)
     payments = np.zeros(instance.n)
     for k in solution.selected:
-        members = np.asarray(analysis.decomposition.classes[k])
-        result = min_budget_for_class(
-            analysis.pi[k],
-            instance.true_opinions[members],
-            instance.costs[members],
-            instance.threshold,
-        )
-        payments[members] = result.payments
+        payments[np.asarray(analysis.decomposition.classes[k])] = prices[k].payments
     plan = evaluate_plan(instance, analysis, payments, budget=b)
     return plan, solution

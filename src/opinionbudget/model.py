@@ -302,10 +302,11 @@ def load_payments(path, instance: Instance) -> np.ndarray:
     if not isinstance(payments, dict):
         raise ParseError("'payments' must map agent ids to dollars", field="payments")
     p = np.zeros(instance.n)
+    index = {a: i for i, a in enumerate(instance.agents)}
     for agent, amount in payments.items():
-        if agent not in instance.agents:
+        if agent not in index:
             raise ParseError(f"payment for unknown agent {agent!r}", field="payments")
         if not isinstance(amount, (int, float)) or isinstance(amount, bool) or amount < 0:
             raise ParseError(f"payment for {agent!r} must be a nonnegative number", field="payments")
-        p[instance.index(agent)] = float(amount)
+        p[index[agent]] = float(amount)
     return p

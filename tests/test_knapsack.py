@@ -8,9 +8,13 @@ import pytest
 
 from opinionbudget.chain_analysis import analyze
 from opinionbudget.decompose import decompose
+from opinionbudget import knapsack
 from opinionbudget.knapsack import (
+    WEIGHT_TOL,
     KnapsackItem,
     TransientsPresent,
+    _backtrack,
+    _min_weight_dp,
     class_items,
     knapsack_exact,
     knapsack_fptas,
@@ -186,3 +190,108 @@ def test_class_items_on_modified_paper_instance(paper_instance, paper_analysis):
     assert [it.value for it in items] == [3, 4]
     assert abs(items[0].weight - 210.0) <= 1e-9
     assert abs(items[1].weight - 99.0) <= 1e-9
+
+
+def _reference_min_weight_dp(values, weights):
+    """Per-value tuple DP: the minimal weight and its lex-smallest selection."""
+    total = sum(values)
+    best_w = [np.inf] * (total + 1)
+    best_sel = [()] * (total + 1)
+    best_w[0] = 0.0
+    for idx, (v, w) in enumerate(zip(values, weights)):
+        for val in range(total, v - 1, -1):
+            prev = best_w[val - v]
+            if prev == np.inf:
+                continue
+            cand_w = prev + w
+            cand_sel = best_sel[val - v] + (idx,)
+            if cand_w < best_w[val] or (cand_w == best_w[val] and cand_sel < best_sel[val]):
+                best_w[val] = cand_w
+                best_sel[val] = cand_sel
+    return best_w, best_sel
+
+
+def _reference_pick(values, weights, budget):
+    best_w, best_sel = _reference_min_weight_dp(values, weights)
+    pick = max(val for val, w in enumerate(best_w) if w <= budget + WEIGHT_TOL)
+    return best_sel[pick]
+
+
+def tie_heavy_lists(rng, count):
+    """Item lists of the four kinds: continuous weights, weights in
+    {0, 1, 2, 3}, weights repeated from a small pool, and value-0 items."""
+    for t in range(count):
+        n = int(rng.integers(0, 13))
+        kind = t % 4
+        values = [int(v) for v in rng.integers(0 if kind == 3 else 1, 7, n)]
+        if kind == 0:
+            weights = rng.uniform(0, 10, n)
+        elif kind == 1:
+            weights = rng.integers(0, 4, n)
+        else:
+            weights = rng.choice(rng.uniform(0, 1, 3), n)
+        yield values, [float(w) for w in weights]
+
+
+def test_dp_matches_reference_at_every_value():
+    rng = np.random.default_rng(97)
+    for values, weights in tie_heavy_lists(rng, 800):
+        ref_w, ref_sel = _reference_min_weight_dp(values, weights)
+        best_w, take = _min_weight_dp(values, weights)
+        assert best_w.tolist() == ref_w
+        for val in range(len(ref_w)):
+            assert _backtrack(take, values, val) == ref_sel[val]
+
+
+def test_exact_matches_reference_selection():
+    rng = np.random.default_rng(101)
+    for values, weights in tie_heavy_lists(rng, 400):
+        values = [max(v, 1) for v in values]
+        items = [KnapsackItem(i, v, w) for i, (v, w) in enumerate(zip(values, weights))]
+        budget = float(rng.uniform(0, sum(weights) + 1))
+        sol = knapsack_exact(items, budget)
+        assert sol.selected == _reference_pick(values, weights, budget)
+        assert sol.total_value == sum(values[i] for i in sol.selected)
+
+
+def test_fptas_matches_reference_on_scaled_values():
+    rng = np.random.default_rng(103)
+    scaled_runs = 0
+    for _ in range(60):
+        count = int(rng.integers(2, 25))
+        values = rng.integers(1, 400, count)
+        weights = rng.choice([0.0, 1.0, 2.5, 4.0, float(rng.uniform(0, 5))], count)
+        items = [KnapsackItem(i, int(v), float(w)) for i, (v, w) in enumerate(zip(values, weights))]
+        budget = float(rng.uniform(0, weights.sum() + 1))
+        for eps in (0.5, 0.1):
+            fit = [it for it in items if it.weight <= budget + WEIGHT_TOL]
+            if not fit:
+                continue
+            scale = eps * max(it.value for it in fit) / len(fit)
+            if scale <= 1.0:
+                continue
+            scaled_runs += 1
+            scaled = [math.floor(it.value / scale) for it in fit]
+            sel = _reference_pick(scaled, [it.weight for it in fit], budget)
+            assert knapsack_fptas(items, budget, eps).selected == tuple(fit[i].class_index for i in sel)
+    assert scaled_runs > 50
+
+
+def test_solve_by_classes_prices_each_class_once(monkeypatch):
+    calls = []
+    price = knapsack.min_budget_for_class
+
+    def counting(*args):
+        calls.append(1)
+        return price(*args)
+
+    monkeypatch.setattr(knapsack, "min_budget_for_class", counting)
+    rng = np.random.default_rng(107)
+    for _ in range(20):
+        inst = no_transient_instance(rng)
+        cm = confidence_matrix(inst)
+        an = analyze(cm, decompose(cm), inst.true_opinions)
+        calls.clear()
+        for epsilon in (None, 0.1):
+            solve_by_classes(inst, an, epsilon=epsilon)
+        assert len(calls) == 2 * len(an.decomposition.classes)

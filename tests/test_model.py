@@ -241,3 +241,18 @@ def test_random_raw_instances_validate():
     rng = np.random.default_rng(23)
     for _ in range(50):
         validate(random_raw(rng))
+
+
+def test_load_payments_maps_agents_by_name_not_order(tmp_path, paper_instance):
+    # the plan lists agents in reverse file order; each amount must land at
+    # its agent's own index
+    amounts = {a: float(i + 1) for i, a in enumerate(paper_instance.agents)}
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"payments": dict(reversed(list(amounts.items())))}))
+    expected = np.arange(1.0, paper_instance.n + 1)
+    assert np.array_equal(load_payments(path, paper_instance), expected)
+    path.write_text(json.dumps({"payments": {"l": 5.0, "a": 2.0}}))
+    loaded = load_payments(path, paper_instance)
+    assert loaded[paper_instance.index("l")] == 5.0
+    assert loaded[paper_instance.index("a")] == 2.0
+    assert loaded.sum() == 7.0
