@@ -29,22 +29,21 @@ def _fmt(value):
     return value
 
 
-def _emit(doc, args) -> None:
-    text = json.dumps(_fmt(doc), indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json(doc) -> str:
+    return json.dumps(_fmt(doc), indent=2) + "\n"
 
 
-def _emit_csv(rows, header, args) -> None:
+def _csv(rows, header) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
             f"{v:.12g}" if isinstance(v, float) else str(v) for v in row
         ))
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _emit(text: str, args) -> None:
+    """Write finished output to ``--out`` when given, else to stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -73,24 +72,24 @@ def _plan_doc(instance, solution, mode):
 
 def _cmd_validate(args) -> int:
     instance, _ = _load(args)
-    _emit({"valid": True, "agents": instance.n}, args)
+    _emit(_json({"valid": True, "agents": instance.n}), args)
     return 0
 
 
 def _cmd_decompose(args) -> int:
     instance, cm = _load(args)
     d = decompose(cm)
-    _emit({
+    _emit(_json({
         "transient": [instance.agents[i] for i in d.transient],
         "classes": [[instance.agents[i] for i in members] for members in d.classes],
-    }, args)
+    }), args)
     return 0
 
 
 def _cmd_analyze(args) -> int:
     instance, cm = _load(args)
     an = _analysis(instance, cm)
-    _emit({
+    _emit(_json({
         "agents": list(instance.agents),
         "transient": [instance.agents[i] for i in an.decomposition.transient],
         "classes": [[instance.agents[i] for i in members] for members in an.decomposition.classes],
@@ -98,7 +97,7 @@ def _cmd_analyze(args) -> int:
         "hitting": [[float(v) for v in vec] for vec in an.hitting],
         "consensus": [float(v) for v in an.consensus],
         "asymptotic": [float(v) for v in an.asymptotic],
-    }, args)
+    }), args)
     return 0
 
 
@@ -117,7 +116,7 @@ def _cmd_min_class_budget(args) -> int:
     critical = None
     if result.critical_item is not None:
         critical = instance.agents[members[result.critical_item]]
-    _emit({
+    _emit(_json({
         "class": args.klass,
         "members": [instance.agents[i] for i in members],
         "payments": {
@@ -126,7 +125,7 @@ def _cmd_min_class_budget(args) -> int:
         "critical_item": critical,
         "total": float(result.total),
         "feasible": result.feasible,
-    }, args)
+    }), args)
     return 0
 
 
@@ -150,12 +149,12 @@ def _cmd_solve(args) -> int:
         doc["supporter_count"] = len(plan.supporters)
         doc["selected_classes"] = list(selection.selected)
         doc["mode"] = "knapsack"
-        _emit(doc, args)
+        _emit(_json(doc), args)
         return 0
     mi = milp.build_milp(instance, an, budget=budget)
     solution = milp.solve_milp(mi, node_limit=args.node_limit,
                                round_dollars=not args.exact_payments)
-    _emit(_plan_doc(instance, solution, "milp"), args)
+    _emit(_json(_plan_doc(instance, solution, "milp")), args)
     return 0
 
 
@@ -165,15 +164,15 @@ def _cmd_sweep(args) -> int:
     curve = milp.budget_sweep(instance, budgets, node_limit=args.node_limit,
                               round_dollars=not args.exact_payments)
     if args.format == "csv":
-        _emit_csv(curve.rows(), ("budget", "supporters", "total_spend"), args)
+        _emit(_csv(curve.rows(), ("budget", "supporters", "total_spend")), args)
     else:
-        _emit({
+        _emit(_json({
             "rows": [
                 {"budget": b, "supporters": c, "total_spend": s}
                 for b, c, s in curve.rows()
             ],
             "plans": [sol.plan.to_dict() for sol in curve.solutions],
-        }, args)
+        }), args)
     return 0
 
 
@@ -188,11 +187,11 @@ def _cmd_simulate(args) -> int:
         instance.agents[i] for i in range(instance.n)
         if final[i] >= instance.threshold - model.OPINION_TOL
     ]
-    _emit({
+    _emit(_json({
         "supporters": supporters,
         "asymptotic": [float(v) for v in final],
         "steps": steps,
-    }, args)
+    }), args)
     return 0
 
 
@@ -250,26 +249,27 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except model.ParseError as e:
-        _emit({"error": "parse_error", "message": str(e), "field": e.field, "line": e.line}, args)
+        _emit(_json({"error": "parse_error", "message": str(e),
+                     "field": e.field, "line": e.line}), args)
         return 1
     except model.InvalidInstance as e:
-        _emit({
+        _emit(_json({
             "error": "invalid_instance",
             "violations": [
                 {"code": v.code, "agent": v.agent, "message": v.message}
                 for v in e.violations
             ],
-        }, args)
+        }), args)
         return 1
     except knapsack.TransientsPresent as e:
-        _emit({"error": "mode_not_applicable", "message": str(e)}, args)
+        _emit(_json({"error": "mode_not_applicable", "message": str(e)}), args)
         return 1
     except ValueError as e:
-        _emit({"error": "invalid_input", "message": str(e)}, args)
+        _emit(_json({"error": "invalid_input", "message": str(e)}), args)
         return 1
     except RuntimeError as e:
         # SingularSystem, NonConvergence, NumericalFailure
-        _emit({"error": "solver_failure", "message": str(e)}, args)
+        _emit(_json({"error": "solver_failure", "message": str(e)}), args)
         return 2
 
 

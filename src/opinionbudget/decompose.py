@@ -89,7 +89,9 @@ def decompose(cm: ConfidenceMatrix) -> Decomposition:
     """Split the chain's states into ergodic classes and transient states.
 
     An SCC is ergodic exactly when no member has an edge to another
-    component.  Runs in time linear in the number of states plus edges.
+    component.  Reading the adjacency lists scans every row of the dense
+    matrix, so the cost is O(n^2) in the number of states; the SCC search
+    after it is linear in states plus edges.
     """
     a = cm.matrix
     n = cm.n

@@ -189,7 +189,8 @@ def _round_payments_up(pay: np.ndarray, caps: np.ndarray, budget: float) -> np.n
 def _finish(mi: MilpInstance, pay_q: np.ndarray, nodes: int, proven: bool,
             round_dollars: bool) -> MilpSolution:
     payments = np.zeros(mi.instance.n)
-    payments[list(mi.pay_agents)] = np.maximum(pay_q, 0.0)
+    # simplex residue below the spend resolution is not a payment
+    payments[list(mi.pay_agents)] = np.where(pay_q > SPEND_TOL, pay_q, 0.0)
     caps_full = np.zeros(mi.instance.n)
     caps_full[list(mi.pay_agents)] = mi.caps
     if round_dollars:
@@ -202,21 +203,22 @@ def _branch_and_bound(mi: MilpInstance, units, objective, prune, accept,
                       node_limit: int, min_count=None) -> tuple[int, bool]:
     """Depth-first branch and bound over the unit indicators.
 
-    Each node solves the LP relaxation under its indicator bounds.  Nodes
+    Each node solves the LP relaxation under its indicator bounds, warm
+    started from its parent's optimal basis (the root solves cold).  Nodes
     that are infeasible or that ``prune`` rejects are cut; an integral
     optimum is handed to ``accept``; otherwise the most fractional
     indicator is branched on, its 1-branch explored first.  Returns the
     nodes solved and whether the tree was exhausted within ``node_limit``.
     """
     q = len(mi.pay_agents)
-    stack = [(np.zeros(len(units)), np.ones(len(units)))]
+    stack = [(np.zeros(len(units)), np.ones(len(units)), None)]
     nodes = 0
     while stack:
         if nodes >= node_limit:
             return nodes, False
-        zlo, zup = stack.pop()
+        zlo, zup, start = stack.pop()
         nodes += 1
-        res = solve_lp(_node_program(mi, units, zlo, zup, objective, min_count))
+        res = solve_lp(_node_program(mi, units, zlo, zup, objective, min_count), start)
         if res.status != "optimal" or prune(res):
             continue
         var = _branch_var(res.x[q:], zlo, zup)
@@ -227,8 +229,8 @@ def _branch_and_bound(mi: MilpInstance, units, objective, prune, accept,
         up0[var] = 0.0
         lo1, up1 = zlo.copy(), zup.copy()
         lo1[var] = 1.0
-        stack.append((lo0, up0))
-        stack.append((lo1, up1))  # popped first: try making the unit a supporter
+        stack.append((lo0, up0, res.basis))  # both children share the parent's basis
+        stack.append((lo1, up1, res.basis))  # popped first: try making the unit a supporter
     return nodes, True
 
 

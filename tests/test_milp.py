@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from opinionbudget import milp as milp_module
 from opinionbudget.chain_analysis import analyze, asymptotic_opinions, evaluate_plan
 from opinionbudget.decompose import decompose
 from opinionbudget.knapsack import solve_by_classes
 from opinionbudget.milp import (
     TooLarge,
+    _finish,
     brute_force_oracle,
     budget_sweep,
     build_milp,
@@ -76,6 +78,18 @@ def test_paper_budget_117(paper_instance, paper_analysis):
     assert sol.plan.supporters == ("g", "h", "i", "j", "k", "l")
     pays = nonzero_payments(paper_instance, sol.plan)
     assert set(pays) == {"j"} and abs(pays["j"] - 117.0) <= 0.01
+
+
+def test_payment_residue_is_not_reported(paper_instance, paper_analysis):
+    # a degenerate basic payment can end at a float residue such as 7e-16
+    mi = build_milp(paper_instance, paper_analysis, budget=117.0)
+    j = paper_instance.index("j")
+    pay = np.zeros(len(mi.pay_agents))
+    pay[mi.pay_agents.index(j)] = 117.0
+    pay[0] = 7e-16
+    sol = _finish(mi, pay, 0, True, round_dollars=False)
+    assert nonzero_payments(paper_instance, sol.plan) == {"j": 117.0}
+    assert sol.plan.payments[mi.pay_agents[0]] == 0.0
 
 
 def test_paper_budget_zero(paper_instance, paper_analysis):
@@ -278,3 +292,41 @@ def test_classes_never_split_random():
         for members in an.decomposition.classes:
             won = {inst.agents[i] in supporters for i in members}
             assert len(won) == 1
+
+
+def test_tiled_paper_node_pivots(monkeypatch):
+    # children start from the parent's optimal basis: 2,884 pivots when every
+    # node LP was solved cold
+    pivots = []
+    solve = milp_module.solve_lp
+
+    def counting(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        pivots.append(res.pivots)
+        return res
+
+    monkeypatch.setattr(milp_module, "solve_lp", counting)
+    inst = tiled_paper(2)
+    cm = confidence_matrix(inst)
+    an = analyze(cm, decompose(cm), inst.true_opinions)
+    sols = [solve_milp(build_milp(inst, an, budget=b)) for b in (99, 169, 293)]
+    assert [sol.supporter_count for sol in sols] == [4, 7, 13]
+    assert all(sol.optimality == "proven" for sol in sols)
+    assert len(pivots) == sum(sol.node_count for sol in sols) + 3  # + one seed LP each
+    assert sum(pivots) <= 1000
+
+
+def test_optimal_above_oracle_limit_matches_highs():
+    rng = np.random.default_rng(139)
+    checked = 0
+    for _ in range(100):
+        inst = validate(random_raw(rng, n_min=16, n_max=40))
+        cm = confidence_matrix(inst)
+        mi = build_milp(inst, analyze(cm, decompose(cm), inst.true_opinions))
+        if mi.degenerate:
+            continue
+        sol = solve_milp(mi, round_dollars=False)
+        assert sol.optimality == "proven"
+        assert sol.supporter_count == highs_per_agent_optimum(mi)
+        checked += 1
+    assert checked >= 80
