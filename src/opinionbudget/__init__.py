@@ -15,7 +15,9 @@ from .chain_analysis import (
     asymptotic_opinions,
     consensus_opinion,
     evaluate_plan,
+    expressed_opinions,
     hitting_probabilities,
+    is_supporter,
     iterate_dynamics,
     stationary_distribution,
 )

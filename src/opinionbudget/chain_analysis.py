@@ -1,10 +1,13 @@
 """Stationary distributions, hitting probabilities, and asymptotic opinions.
 
 The closed forms are all small dense linear systems: each ergodic class
-converges to the consensus ``pi . x(0)`` over its members, and a transient
-agent lands on the hitting-probability mixture of the class consensi.  A
-plain power iteration of ``x <- A x`` serves as the independent oracle for
-every closed-form quantity here.
+converges to the consensus ``pi . x(0)`` over its members, and one solve
+of ``(I - Q) H_T = R`` over the transient states gives the (classes x
+agents) hitting matrix ``H`` (Kemeny & Snell's ``B = N R``), so the limit
+opinions are ``consensus @ H``.  This module also owns the price rule
+``x(0) = xhat + p / c`` and the supporter rule.  A plain power iteration
+of ``x <- A x`` serves as the independent oracle for every closed-form
+quantity here.
 """
 
 from dataclasses import dataclass
@@ -57,22 +60,23 @@ def stationary_distribution(class_matrix: np.ndarray) -> np.ndarray:
     return pi
 
 
-def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition, k: int) -> np.ndarray:
-    """Probability, per start state, of absorption into ergodic class ``k``.
+def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition) -> np.ndarray:
+    """Absorption probabilities, one row per ergodic class, one column per agent.
 
-    Members of class ``k`` get 1, members of other classes 0, and the
-    transient entries solve ``h_i = sum_j A[i, j] h_j`` restricted to the
-    transient rows.
+    Recurrent columns are exact indicators of the agent's class.  The
+    transient columns solve ``(I - Q) H_T = R`` with one factorization for
+    all classes: ``Q`` is the transient block of the matrix and ``R[t, k]``
+    the one-step mass from transient ``t`` into class ``k``.  The returned
+    array is read-only.
     """
     a = cm.matrix
-    n = cm.n
-    h = np.zeros(n)
-    members = np.asarray(decomposition.classes[k])
-    h[members] = 1.0
+    h = np.zeros((len(decomposition.classes), cm.n))
+    for k, members in enumerate(decomposition.classes):
+        h[k, members] = 1.0
     if decomposition.transient:
         t = np.asarray(decomposition.transient)
         system = np.eye(len(t)) - a[np.ix_(t, t)]
-        rhs = a[np.ix_(t, members)].sum(axis=1)
+        rhs = a[t] @ h.T
         try:
             ht = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError as e:
@@ -80,7 +84,8 @@ def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition, k:
         residual = np.max(np.abs(system @ ht - rhs))
         if not np.isfinite(ht).all() or residual > SOLVE_TOL:
             raise SingularSystem(f"hitting solve failed (residual {residual:.3e})")
-        h[t] = ht
+        h[:, t] = ht.T
+    h.flags.writeable = False
     return h
 
 
@@ -95,11 +100,12 @@ class ChainAnalysis:
 
     ``pi`` and ``hitting`` depend only on the matrix; ``consensus`` and
     ``asymptotic`` refer to the opinions the analysis was built with.
+    ``hitting[k]`` is class ``k``'s row of :func:`hitting_probabilities`.
     """
 
     decomposition: Decomposition
     pi: tuple[np.ndarray, ...]
-    hitting: tuple[np.ndarray, ...]
+    hitting: np.ndarray
     consensus: tuple[float, ...]
     asymptotic: np.ndarray
 
@@ -110,36 +116,26 @@ def _limits(decomposition: Decomposition, pi, hitting, opinions) -> tuple[tuple[
         consensus_opinion(pi[k], opinions[np.asarray(members)])
         for k, members in enumerate(decomposition.classes)
     )
-    x = np.zeros(decomposition.n)
-    for k, members in enumerate(decomposition.classes):
-        x[np.asarray(members)] = cons[k]
-    for i in decomposition.transient:
-        x[i] = sum(hitting[k][i] * cons[k] for k in range(len(decomposition.classes)))
-    return cons, x
+    return cons, np.asarray(cons) @ hitting
 
 
 def asymptotic_opinions(analysis: ChainAnalysis, opinions: np.ndarray) -> np.ndarray:
     """Limit opinions for a new expressed-opinion vector.
 
-    Reuses the analysis' stationary and hitting vectors; only the class
-    consensi are recomputed.  Each recurrent agent gets its class
-    consensus, each transient agent the hitting-weighted mixture.
+    Reuses the analysis' stationary vectors and hitting matrix; only the
+    class consensi are recomputed.
     """
-    d = analysis.decomposition
-    _, x = _limits(d, analysis.pi, analysis.hitting, opinions)
-    return x
+    return _limits(analysis.decomposition, analysis.pi, analysis.hitting, opinions)[1]
 
 
 def analyze(cm: ConfidenceMatrix, decomposition: Decomposition, opinions: np.ndarray) -> ChainAnalysis:
-    """Compute stationary vectors, hitting vectors, consensi, and limits."""
+    """Compute stationary vectors, the hitting matrix, consensi, and limits."""
     m = len(decomposition.classes)
     pi = tuple(stationary_distribution(submatrix(cm, decomposition, k)) for k in range(m))
-    hitting = tuple(hitting_probabilities(cm, decomposition, k) for k in range(m))
-    if m:
-        total = np.sum(hitting, axis=0)
-        worst = np.max(np.abs(total - 1.0))
-        if worst > OPINION_TOL:
-            raise SingularSystem(f"hitting probabilities do not sum to 1 (off by {worst:.3e})")
+    hitting = hitting_probabilities(cm, decomposition)
+    worst = np.max(np.abs(hitting.sum(axis=0) - 1.0))
+    if worst > OPINION_TOL:
+        raise SingularSystem(f"hitting probabilities do not sum to 1 (off by {worst:.3e})")
     cons, x = _limits(decomposition, pi, hitting, opinions)
     x.flags.writeable = False
     return ChainAnalysis(decomposition, pi, hitting, cons, x)
@@ -171,19 +167,12 @@ def iterate_dynamics(
     raise NonConvergence(max_steps, change)
 
 
-def evaluate_plan(
-    instance: Instance,
-    analysis: ChainAnalysis,
-    payments: np.ndarray,
-    budget: float | None = None,
-) -> PaymentPlan:
-    """Apply a payment vector and report the resulting supporter set.
+def expressed_opinions(instance: Instance, payments: np.ndarray) -> np.ndarray:
+    """Starting opinions under the linear price: ``x_i(0) = xhat_i + p_i / c_i``.
 
-    Expressed opinions follow the linear price: ``x_i(0) = xhat_i + p_i / c_i``.
-    Supporters are agents whose asymptotic opinion reaches the threshold
-    (within tolerance).  ``budget`` defaults to the instance's own.
+    Raises ``ValueError`` unless there is one nonnegative payment per agent
+    and no expressed opinion exceeds 1 (within tolerance).
     """
-    b = instance.budget if budget is None else float(budget)
     p = np.asarray(payments, dtype=float)
     if p.shape != (instance.n,):
         raise ValueError("payments must give one value per agent")
@@ -196,15 +185,34 @@ def evaluate_plan(
             f"payment pushes opinion of {instance.agents[worst]!r} above 1 "
             f"({expressed[worst]:.6f})"
         )
+    return expressed
+
+
+def is_supporter(limits: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of the limit opinions that reach the threshold (within tolerance)."""
+    return limits >= threshold - OPINION_TOL
+
+
+def evaluate_plan(
+    instance: Instance,
+    analysis: ChainAnalysis,
+    payments: np.ndarray,
+    budget: float | None = None,
+) -> PaymentPlan:
+    """Apply a payment vector and report the resulting supporter set.
+
+    Expressed opinions come from :func:`expressed_opinions`, supporters from
+    :func:`is_supporter` on the asymptotic opinions.  ``budget`` defaults to
+    the instance's own.
+    """
+    b = instance.budget if budget is None else float(budget)
+    p = np.array(payments, dtype=float)
+    expressed = expressed_opinions(instance, p)
     total = float(p.sum())
     if total > b + BUDGET_TOL:
         raise ValueError(f"total spend {total} exceeds budget {b}")
-    limits = asymptotic_opinions(analysis, expressed)
-    supporters = tuple(
-        instance.agents[i] for i in range(instance.n)
-        if limits[i] >= instance.threshold - OPINION_TOL
-    )
+    mask = is_supporter(asymptotic_opinions(analysis, expressed), instance.threshold)
+    supporters = tuple(a for a, s in zip(instance.agents, mask) if s)
     expressed.flags.writeable = False
-    p = p.copy()
     p.flags.writeable = False
     return PaymentPlan(instance.agents, p, expressed, supporters, total)

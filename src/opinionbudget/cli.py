@@ -8,7 +8,6 @@ diagnostics on stdout), 2 on solver failures.
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -133,15 +132,10 @@ def _cmd_solve(args) -> int:
     instance, cm = _load(args)
     an = _analysis(instance, cm)
     budget = instance.budget if args.budget is None else args.budget
-    has_transients = bool(an.decomposition.transient)
     mode = args.mode
     if mode == "auto":
-        mode = "milp" if has_transients else "knapsack"
+        mode = "milp" if an.decomposition.transient else "knapsack"
     if mode == "knapsack":
-        if has_transients:
-            raise model.ParseError(
-                "instance has transient states; knapsack mode is not exact, use --mode milp"
-            )
         plan, selection = knapsack.solve_by_classes(
             instance, an, budget=budget, epsilon=args.epsilon
         )
@@ -152,17 +146,15 @@ def _cmd_solve(args) -> int:
         _emit(_json(doc), args)
         return 0
     mi = milp.build_milp(instance, an, budget=budget)
-    solution = milp.solve_milp(mi, node_limit=args.node_limit,
-                               round_dollars=not args.exact_payments)
+    solution = milp.solve_milp(mi, round_dollars=not args.exact_payments)
     _emit(_json(_plan_doc(instance, solution, "milp")), args)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    instance, _ = _load(args)
+    instance = model.load_instance(args.instance)
     budgets = [float(tok) for tok in args.budgets.split(",") if tok.strip() != ""]
-    curve = milp.budget_sweep(instance, budgets, node_limit=args.node_limit,
-                              round_dollars=not args.exact_payments)
+    curve = milp.budget_sweep(instance, budgets, round_dollars=not args.exact_payments)
     if args.format == "csv":
         _emit(_csv(curve.rows(), ("budget", "supporters", "total_spend")), args)
     else:
@@ -179,16 +171,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     instance, cm = _load(args)
     payments = model.load_payments(args.plan, instance) if args.plan else np.zeros(instance.n)
-    expressed = instance.true_opinions + payments / instance.costs
-    if (expressed > 1.0 + model.OPINION_TOL).any():
-        raise model.ParseError("plan pushes an expressed opinion above 1", field="payments")
+    expressed = chain_analysis.expressed_opinions(instance, payments)
     final, steps = chain_analysis.iterate_dynamics(cm, expressed, tol=args.tol)
-    supporters = [
-        instance.agents[i] for i in range(instance.n)
-        if final[i] >= instance.threshold - model.OPINION_TOL
-    ]
+    mask = chain_analysis.is_supporter(final, instance.threshold)
     _emit(_json({
-        "supporters": supporters,
+        "supporters": [a for a, s in zip(instance.agents, mask) if s],
         "asymptotic": [float(v) for v in final],
         "steps": steps,
     }), args)
@@ -243,34 +230,33 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("solve", "sweep"):
-        limit = os.environ.get("OBO_NODE_LIMIT")
-        args.node_limit = int(limit) if limit else None
     try:
         return args.fn(args)
     except model.ParseError as e:
-        _emit(_json({"error": "parse_error", "message": str(e),
-                     "field": e.field, "line": e.line}), args)
-        return 1
+        doc, code = {"error": "parse_error", "message": str(e),
+                     "field": e.field, "line": e.line}, 1
     except model.InvalidInstance as e:
-        _emit(_json({
+        doc, code = {
             "error": "invalid_instance",
             "violations": [
                 {"code": v.code, "agent": v.agent, "message": v.message}
                 for v in e.violations
             ],
-        }), args)
-        return 1
+        }, 1
     except knapsack.TransientsPresent as e:
-        _emit(_json({"error": "mode_not_applicable", "message": str(e)}), args)
-        return 1
+        doc, code = {"error": "mode_not_applicable", "message": str(e)}, 1
     except ValueError as e:
-        _emit(_json({"error": "invalid_input", "message": str(e)}), args)
-        return 1
+        doc, code = {"error": "invalid_input", "message": str(e)}, 1
+    except OSError as e:
+        doc, code = {"error": "io_error", "message": str(e), "path": e.filename}, 1
     except RuntimeError as e:
         # SingularSystem, NonConvergence, NumericalFailure
-        _emit(_json({"error": "solver_failure", "message": str(e)}), args)
-        return 2
+        doc, code = {"error": "solver_failure", "message": str(e)}, 2
+    try:
+        _emit(_json(doc), args)
+    except OSError:  # --out itself cannot be written
+        sys.stdout.write(_json(doc))
+    return code
 
 
 if __name__ == "__main__":

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain_analysis import ChainAnalysis, analyze, evaluate_plan
+from .chain_analysis import ChainAnalysis, analyze, evaluate_plan, is_supporter
 from .decompose import Decomposition, decompose
 from .lp import LinearProgram, LpResult, solve_lp
-from .model import BUDGET_TOL, OPINION_TOL, Instance, PaymentPlan, confidence_matrix
+from .model import Instance, PaymentPlan, confidence_matrix
 
 #: Default branch-and-bound node budget; the OBO_NODE_LIMIT env var overrides.
 DEFAULT_NODE_LIMIT = 200_000
@@ -39,26 +39,38 @@ class TooLarge(ValueError):
 class MilpInstance:
     """Data of the linearized supporter problem for one budget.
 
-    ``baseline`` holds the zero-payment asymptotic opinions and
-    ``lower_bound`` their minimum: the constant that makes the indicator
-    linearization valid.  ``pay_agents`` are the recurrent agents (the
-    only ones whose payments matter), ``caps`` their maximum useful
-    payments, and ``rates[i, a]`` the increase of agent ``i``'s limit
-    opinion per dollar paid to ``pay_agents[a]``.  ``degenerate`` marks
-    the trivial case where the zero-payment minimum already clears the
-    threshold.
+    ``pay_agents`` are the recurrent agents (the only ones whose payments
+    matter), ``caps`` their maximum useful payments, and ``rates[i, a]``
+    the increase of agent ``i``'s limit opinion per dollar paid to
+    ``pay_agents[a]``.  The remaining figures are read from the instance
+    and the analysis.
     """
 
     instance: Instance
     analysis: ChainAnalysis
-    threshold: float
     budget: float
-    lower_bound: float
-    baseline: np.ndarray
     pay_agents: tuple[int, ...]
     caps: np.ndarray
     rates: np.ndarray
-    degenerate: bool
+
+    @property
+    def threshold(self) -> float:
+        return self.instance.threshold
+
+    @property
+    def baseline(self) -> np.ndarray:
+        """Zero-payment asymptotic opinions."""
+        return self.analysis.asymptotic
+
+    @property
+    def lower_bound(self) -> float:
+        """Minimum baseline opinion: the constant that makes the indicator linearization valid."""
+        return float(self.baseline.min())
+
+    @property
+    def degenerate(self) -> bool:
+        """The zero-payment minimum already clears the threshold."""
+        return self.lower_bound >= self.threshold
 
 
 @dataclass(frozen=True)
@@ -84,36 +96,23 @@ class SweepCurve:
 
 
 def build_milp(instance: Instance, analysis: ChainAnalysis, budget: float | None = None) -> MilpInstance:
-    """Assemble the linearized problem data from a completed chain analysis."""
+    """Assemble the linearized problem data from a completed chain analysis.
+
+    A dollar to agent ``a`` of class ``k`` lifts ``i``'s limit by ``hitting[k, i] * pi_k[a] / c_a``.
+    """
     d = analysis.decomposition
-    baseline = analysis.asymptotic
-    lower_bound = float(baseline.min())
     b = instance.budget if budget is None else float(budget)
-
-    pay_agents = tuple(sorted(i for members in d.classes for i in members))
-    caps = np.array([
-        instance.costs[a] * (1.0 - instance.true_opinions[a]) for a in pay_agents
-    ])
-    rates = np.zeros((instance.n, len(pay_agents)))
-    for col, a in enumerate(pay_agents):
-        k = d.class_of[a]
-        pos = d.classes[k].index(a)
-        rates[:, col] = analysis.hitting[k] * analysis.pi[k][pos] / instance.costs[a]
-
+    members = np.concatenate(d.classes)  # recurrent agents, class by class
+    klass = np.full(instance.n, -1)
+    klass[members] = np.repeat(np.arange(len(d.classes)), d.sizes)
+    mass = np.zeros(instance.n)
+    mass[members] = np.concatenate(analysis.pi)
+    pay = np.flatnonzero(klass >= 0)
+    caps = instance.costs[pay] * (1.0 - instance.true_opinions[pay])
+    rates = np.ascontiguousarray(analysis.hitting[klass[pay]].T) * mass[pay] / instance.costs[pay]
     caps.flags.writeable = False
     rates.flags.writeable = False
-    return MilpInstance(
-        instance=instance,
-        analysis=analysis,
-        threshold=instance.threshold,
-        budget=b,
-        lower_bound=lower_bound,
-        baseline=baseline,
-        pay_agents=pay_agents,
-        caps=caps,
-        rates=rates,
-        degenerate=lower_bound >= instance.threshold,
-    )
+    return MilpInstance(instance, analysis, b, tuple(pay.tolist()), caps, rates)
 
 
 def _units(decomposition: Decomposition) -> list[tuple[int, ...]]:
@@ -245,7 +244,11 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
     incumbent is returned marked "heuristic".
     """
     if node_limit is None:
-        node_limit = int(os.environ.get("OBO_NODE_LIMIT", DEFAULT_NODE_LIMIT))
+        limit = os.environ.get("OBO_NODE_LIMIT") or DEFAULT_NODE_LIMIT
+        try:
+            node_limit = int(limit)
+        except ValueError:
+            raise ValueError(f"OBO_NODE_LIMIT must be an integer, got {limit!r}") from None
     q = len(mi.pay_agents)
     if mi.degenerate:
         return _finish(mi, np.zeros(q), 0, True, round_dollars)
@@ -253,7 +256,7 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
     sizes = np.array([len(u) for u in units], dtype=float)
 
     # Pass 1: maximize the number of supporters.
-    best_z = (mi.baseline[[u[0] for u in units]] >= mi.threshold - OPINION_TOL) * 1.0
+    best_z = is_supporter(mi.baseline[[u[0] for u in units]], mi.threshold) * 1.0
     best_count = int(sizes @ best_z)
 
     def count_cannot_improve(res):
@@ -318,7 +321,7 @@ def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
     max_val = mi.baseline + mi.rates @ mi.caps
     tried = 0
     for agents, chosen in candidates:
-        if any(max_val[i] < mi.threshold - OPINION_TOL for i in agents):
+        if not is_supporter(max_val[list(agents)], mi.threshold).all():
             continue
         tried += 1
         res = _min_spend_for_set(mi, units, chosen)

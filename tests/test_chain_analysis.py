@@ -53,8 +53,8 @@ def test_stationary_rejects_reducible_block():
 
 
 def test_hitting_paper_values(paper_matrix, paper_decomposition):
-    h1 = hitting_probabilities(paper_matrix, paper_decomposition, 0)
-    h2 = hitting_probabilities(paper_matrix, paper_decomposition, 1)
+    h1 = hitting_probabilities(paper_matrix, paper_decomposition)[0]
+    h2 = hitting_probabilities(paper_matrix, paper_decomposition)[1]
     assert np.max(np.abs(h1 - H_1)) <= 1e-9
     assert np.max(np.abs(h2 - (1.0 - H_1))) <= 1e-9
 
@@ -62,7 +62,7 @@ def test_hitting_paper_values(paper_matrix, paper_decomposition):
 def test_hitting_no_transients_is_indicator():
     a = np.eye(3)
     d = decompose(ConfidenceMatrix(a))
-    h = hitting_probabilities(ConfidenceMatrix(a), d, 1)
+    h = hitting_probabilities(ConfidenceMatrix(a), d)[1]
     assert np.array_equal(h, [0.0, 1.0, 0.0])
 
 
@@ -72,7 +72,7 @@ def test_hitting_rows_sum_to_one():
         inst = random_instance(rng)
         cm = confidence_matrix(inst)
         d = decompose(cm)
-        total = sum(hitting_probabilities(cm, d, k) for k in range(len(d.classes)))
+        total = sum(hitting_probabilities(cm, d)[k] for k in range(len(d.classes)))
         assert np.max(np.abs(total - 1.0)) <= 1e-9
 
 
@@ -186,3 +186,58 @@ def test_evaluate_plan_rejects_opinion_above_one(paper_instance, paper_analysis)
     payments[9] = 300.0  # cap for j is 180
     with pytest.raises(ValueError):
         evaluate_plan(paper_instance, paper_analysis, payments, budget=1000.0)
+
+
+def _per_class_hitting(cm, d, k):
+    """Reference: one linear solve per class, as the hitting vectors were first computed."""
+    a = cm.matrix
+    h = np.zeros(cm.n)
+    members = np.asarray(d.classes[k])
+    h[members] = 1.0
+    if d.transient:
+        t = np.asarray(d.transient)
+        h[t] = np.linalg.solve(np.eye(len(t)) - a[np.ix_(t, t)], a[np.ix_(t, members)].sum(axis=1))
+    return h
+
+
+def test_hitting_matrix_matches_per_class_solves():
+    rng = np.random.default_rng(61)
+    sizes = [(4, 16)] * 30 + [(16, 60)] * 10 + [(300, 400)] * 3
+    for n_min, n_max in sizes:
+        inst = random_instance(rng, n_min=n_min, n_max=n_max)
+        cm = confidence_matrix(inst)
+        d = decompose(cm)
+        h = hitting_probabilities(cm, d)
+        assert h.shape == (len(d.classes), inst.n)
+        assert not h.flags.writeable
+        for k in range(len(d.classes)):
+            assert np.max(np.abs(h[k] - _per_class_hitting(cm, d, k))) <= 1e-12
+            # recurrent columns are exact class indicators
+            for i, klass in enumerate(d.class_of):
+                if klass is not None:
+                    assert h[k, i] == (1.0 if klass == k else 0.0)
+
+
+def test_analyze_solves_the_transient_system_once(monkeypatch):
+    rng = np.random.default_rng(67)
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        solves.append(np.shape(b))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    checked = 0
+    while checked < 5:
+        inst = random_instance(rng, n_min=20, n_max=40)
+        cm = confidence_matrix(inst)
+        d = decompose(cm)
+        if not d.transient or len(d.classes) < 3:
+            continue
+        solves.clear()
+        analyze(cm, d, inst.true_opinions)
+        # one stationary solve per class, one hitting solve for all of them
+        assert len(solves) == len(d.classes) + 1
+        assert solves.count((d.n_transient, len(d.classes))) == 1
+        checked += 1

@@ -161,3 +161,46 @@ def test_out_file(capsys, tmp_path):
     assert code == 0
     assert stdout == ""
     assert json.loads(out_path.read_text())["transient"] == ["d", "e", "f", "g", "h"]
+
+
+def test_simulate_rejects_plan_above_one(capsys, tmp_path):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"payments": {"j": 300.0}}))  # cap for j is 180
+    code, out = run(capsys, "simulate", PAPER, "--plan", str(plan_path))
+    assert code == 1
+    assert "above 1" in json.loads(out)["message"]
+
+
+def test_missing_instance_exit_1(capsys, tmp_path):
+    missing = str(tmp_path / "nonexistent.json")
+    code, out = run(capsys, "solve", missing)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "io_error"
+    assert doc["path"] == missing
+
+
+def test_missing_plan_exit_1(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out = run(capsys, "simulate", PAPER, "--plan", missing)
+    assert code == 1
+    assert json.loads(out)["path"] == missing
+
+
+def test_unwritable_out_reports_on_stdout(capsys, tmp_path):
+    code, out = run(capsys, "decompose", PAPER, "--out", str(tmp_path))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "io_error"
+    assert doc["path"] == str(tmp_path)
+
+
+def test_node_limit_environment(capsys, monkeypatch):
+    monkeypatch.setenv("OBO_NODE_LIMIT", "abc")
+    code, out = run(capsys, "solve", PAPER, "--budget", "309")
+    assert code == 1
+    assert json.loads(out)["error"] == "invalid_input"
+    monkeypatch.setenv("OBO_NODE_LIMIT", "1")
+    code, out = run(capsys, "solve", PAPER, "--budget", "309")
+    assert code == 0
+    assert json.loads(out)["optimality"] == "heuristic"

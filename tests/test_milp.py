@@ -330,3 +330,21 @@ def test_optimal_above_oracle_limit_matches_highs():
         assert sol.supporter_count == highs_per_agent_optimum(mi)
         checked += 1
     assert checked >= 80
+
+
+def test_rates_are_hitting_times_stationary_mass_per_dollar(paper_instance, paper_analysis):
+    rng = np.random.default_rng(71)
+    cases = [(paper_instance, paper_analysis)]
+    for inst in [tiled_paper(3)] + [random_instance(rng, n_min=4, n_max=30) for _ in range(40)]:
+        cm = confidence_matrix(inst)
+        cases.append((inst, analyze(cm, decompose(cm), inst.true_opinions)))
+    for inst, an in cases:
+        mi = build_milp(inst, an)
+        d = an.decomposition
+        assert mi.pay_agents == tuple(sorted(i for members in d.classes for i in members))
+        expected = np.zeros((inst.n, len(mi.pay_agents)))
+        for col, a in enumerate(mi.pay_agents):
+            k = d.class_of[a]
+            expected[:, col] = an.hitting[k] * an.pi[k][d.classes[k].index(a)] / inst.costs[a]
+            assert mi.caps[col] == inst.costs[a] * (1.0 - inst.true_opinions[a])
+        assert np.array_equal(mi.rates, expected)
