@@ -4,7 +4,9 @@ Branch and bound with LP-relaxation bounds from the bounded-variable
 simplex, a supporter-set enumeration oracle for small instances, and
 budget sweeps.  The binary decisions are one indicator per class /
 transient agent: every member of an ergodic class settles on the class
-consensus, so a class is won or lost as a whole.  The supporter count is
+consensus, so a class is won or lost as a whole.  A unit's linking row
+is exact: payments must lift its limit by its own gap to the threshold,
+so no global big-M constant enters the relaxation.  The supporter count is
 optimized first; among maximum-count plans the cheapest payment
 certificate wins, ties resolved toward the lexicographically smallest
 payment vector.  Reported payments are rounded up to whole dollars when
@@ -14,7 +16,7 @@ pass ``round_dollars=False`` for the raw certificate.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,12 +66,13 @@ class MilpInstance:
 
     @property
     def lower_bound(self) -> float:
-        """Minimum baseline opinion: the constant that makes the indicator linearization valid."""
+        """Minimum baseline opinion: the big-M constant of the per-agent reference
+        linearization in the HiGHS cross-checks.  The solver's linking rows are exact."""
         return float(self.baseline.min())
 
     @property
     def degenerate(self) -> bool:
-        """The zero-payment minimum already clears the threshold."""
+        """The zero-payment minimum clears the threshold; only the HiGHS cross-checks read it."""
         return self.lower_bound >= self.threshold
 
 
@@ -128,17 +131,18 @@ def _units(decomposition: Decomposition) -> list[tuple[int, ...]]:
 def _node_program(mi: MilpInstance, units, zlo, zup, objective, min_count=None) -> LinearProgram:
     """LP over [payments | indicators], one indicator per class / transient agent.
 
-    Rows: the budget, one linking row per unit with representative ``r``
-    ``(x* - L) z_u - sum_a rates[r, a] p_a <= baseline_r - L``,
-    and optionally a minimum supporter-count row ``sum_u |u| z_u >= min_count``.
+    Rows: the budget, one exact linking row per unit with representative ``r``
+    ``(x* - baseline_r)+ z_u - sum_a rates[r, a] p_a <= 0`` (payments must
+    lift the unit's limit by its own gap), and optionally a minimum
+    supporter-count row ``sum_u |u| z_u >= min_count``.
     """
     q, k = len(mi.pay_agents), len(units)
     reps = [u[0] for u in units]
     rows = np.zeros((1 + k + (min_count is not None), q + k))
     rows[0, :q] = 1.0
     rows[1:1 + k, :q] = -mi.rates[reps]
-    rows[1:1 + k, q:] = (mi.threshold - mi.lower_bound) * np.eye(k)
-    rhs = [mi.budget, *(mi.baseline[reps] - mi.lower_bound)]
+    rows[1:1 + k, q:] = np.diag(np.maximum(mi.threshold - mi.baseline[reps], 0.0))
+    rhs = [mi.budget] + [0.0] * k
     senses = ("<=",) * (1 + k)
     if min_count is not None:
         rows[-1, q:] = [len(u) for u in units]
@@ -179,8 +183,8 @@ def _min_spend_for_set(mi: MilpInstance, units, chosen: np.ndarray) -> LpResult:
 
 def _round_payments_up(pay: np.ndarray, caps: np.ndarray, budget: float) -> np.ndarray:
     """Whole-dollar payments when caps and budget permit, never decreasing."""
-    rounded = np.maximum(pay, np.minimum(caps, np.ceil(pay - 1e-6))) + 0.0  # kill -0.0
-    if rounded.sum() <= budget + 1e-9:
+    rounded = np.maximum(pay, np.minimum(caps, np.ceil(pay - INT_TOL))) + 0.0  # kill -0.0
+    if rounded.sum() <= budget + SPEND_TOL:
         return rounded
     return pay.copy()
 
@@ -198,38 +202,37 @@ def _finish(mi: MilpInstance, pay_q: np.ndarray, nodes: int, proven: bool,
     return MilpSolution(plan, len(plan.supporters), "proven" if proven else "heuristic", nodes)
 
 
-def _branch_and_bound(mi: MilpInstance, units, objective, prune, accept,
-                      node_limit: int, min_count=None) -> tuple[int, bool]:
-    """Depth-first branch and bound over the unit indicators.
+def _branch_and_bound(program: LinearProgram, q: int, prune, accept,
+                      node_limit: int) -> tuple[int, bool]:
+    """Depth-first branch and bound over the indicators after the ``q`` payments.
 
-    Each node solves the LP relaxation under its indicator bounds, warm
-    started from its parent's optimal basis (the root solves cold).  Nodes
-    that are infeasible or that ``prune`` rejects are cut; an integral
-    optimum is handed to ``accept``; otherwise the most fractional
-    indicator is branched on, its 1-branch explored first.  Returns the
-    nodes solved and whether the tree was exhausted within ``node_limit``.
+    ``program`` is the pass's one relaxation; a node differs from it only
+    in its variable bounds and is warm started from its parent's optimal
+    basis (the root solves cold).  Nodes that are infeasible or that
+    ``prune`` rejects are cut; an integral optimum is handed to ``accept``;
+    otherwise the most fractional indicator is branched on, its 1-branch
+    explored first.  Returns the nodes solved and whether the tree was
+    exhausted within ``node_limit``.
     """
-    q = len(mi.pay_agents)
-    stack = [(np.zeros(len(units)), np.ones(len(units)), None)]
+    stack = [(program.lower, program.upper, None)]
     nodes = 0
     while stack:
         if nodes >= node_limit:
             return nodes, False
-        zlo, zup, start = stack.pop()
+        lower, upper, start = stack.pop()
         nodes += 1
-        res = solve_lp(_node_program(mi, units, zlo, zup, objective, min_count), start)
+        res = solve_lp(replace(program, lower=lower, upper=upper), start)
         if res.status != "optimal" or prune(res):
             continue
-        var = _branch_var(res.x[q:], zlo, zup)
+        var = _branch_var(res.x[q:], lower[q:], upper[q:])
         if var is None:
             accept(res)
             continue
-        lo0, up0 = zlo.copy(), zup.copy()
-        up0[var] = 0.0
-        lo1, up1 = zlo.copy(), zup.copy()
-        lo1[var] = 1.0
-        stack.append((lo0, up0, res.basis))  # both children share the parent's basis
-        stack.append((lo1, up1, res.basis))  # popped first: try making the unit a supporter
+        upper0, lower1 = upper.copy(), lower.copy()
+        upper0[q + var] = 0.0
+        lower1[q + var] = 1.0
+        stack.append((lower, upper0, res.basis))  # both children share the parent's basis
+        stack.append((lower1, upper, res.basis))  # popped first: try making the unit a supporter
     return nodes, True
 
 
@@ -250,10 +253,9 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
         except ValueError:
             raise ValueError(f"OBO_NODE_LIMIT must be an integer, got {limit!r}") from None
     q = len(mi.pay_agents)
-    if mi.degenerate:
-        return _finish(mi, np.zeros(q), 0, True, round_dollars)
     units = _units(mi.analysis.decomposition)
     sizes = np.array([len(u) for u in units], dtype=float)
+    free = np.zeros(len(units)), np.ones(len(units))
 
     # Pass 1: maximize the number of supporters.
     best_z = is_supporter(mi.baseline[[u[0] for u in units]], mi.threshold) * 1.0
@@ -269,8 +271,8 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
         if count > best_count:
             best_count, best_z = count, (z >= 0.5) * 1.0
 
-    nodes, proven = _branch_and_bound(mi, units, np.concatenate([np.zeros(q), sizes]),
-                                      count_cannot_improve, take_count, node_limit)
+    count_lp = _node_program(mi, units, *free, np.concatenate([np.zeros(q), sizes]))
+    nodes, proven = _branch_and_bound(count_lp, q, count_cannot_improve, take_count, node_limit)
 
     # Pass 2: cheapest certificate for the optimal count.
     seed = _min_spend_for_set(mi, units, best_z)
@@ -287,9 +289,9 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
         if spend < best_spend - SPEND_TOL or _lex_smaller(pay, best_pay):
             best_spend, best_pay = spend, pay
 
-    more, finished = _branch_and_bound(
-        mi, units, np.concatenate([-np.ones(q), np.zeros(len(units))]),
-        spends_more, take_cheaper, node_limit - nodes, min_count=best_count)
+    spend_lp = _node_program(mi, units, *free, np.concatenate([-np.ones(q), np.zeros(len(units))]),
+                             min_count=best_count)
+    more, finished = _branch_and_bound(spend_lp, q, spends_more, take_cheaper, node_limit - nodes)
     return _finish(mi, best_pay, nodes + more, proven and finished, round_dollars)
 
 
@@ -307,9 +309,6 @@ def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
         raise TooLarge(f"enumeration oracle supports at most 15 agents, got {instance.n}")
     mi = build_milp(instance, analysis, budget)
     q = len(mi.pay_agents)
-    if mi.degenerate:
-        return _finish(mi, np.zeros(q), 0, True, round_dollars)
-
     units = _units(mi.analysis.decomposition)
     candidates = []
     for mask in range(1, 1 << len(units)):

@@ -1,9 +1,11 @@
-"""Shared fixtures and random-instance generators."""
+"""Shared fixtures, random-instance generators and the HiGHS reference."""
 
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from opinionbudget.chain_analysis import analyze
 from opinionbudget.decompose import decompose
@@ -74,3 +76,37 @@ def random_class(rng, n_max=6):
     opinions = rng.uniform(0.0, 1.0, nk)
     costs = rng.uniform(0.5, 10.0, nk)
     return e, opinions, costs
+
+
+def tiled_paper(copies):
+    """Disjoint copies of the paper example, agents renamed per copy."""
+    raw = json.loads(PAPER_EXAMPLE.read_text(encoding="utf-8"))
+    return validate({
+        **raw,
+        "agents": [f"{a}{c}" for c in range(copies) for a in raw["agents"]],
+        "edges": [
+            {"from": f"{e['from']}{c}", "to": f"{e['to']}{c}", "w": e["w"]}
+            for c in range(copies) for e in raw["edges"]
+        ],
+        "opinions": raw["opinions"] * copies,
+        "costs": raw["costs"] * copies,
+    })
+
+
+def highs_per_agent_optimum(mi):
+    """Supporter optimum of the per-agent indicator linearization, by HiGHS."""
+    n, q = mi.instance.n, len(mi.pay_agents)
+    rows = np.zeros((1 + n, q + n))
+    rows[0, :q] = 1.0
+    rows[1:, :q] = -mi.rates
+    rows[1:, q:] = (mi.threshold - mi.lower_bound) * np.eye(n)
+    rhs = np.concatenate([[mi.budget], mi.baseline - mi.lower_bound])
+    res = milp(
+        np.concatenate([np.zeros(q), -np.ones(n)]),
+        constraints=LinearConstraint(rows, -np.inf, rhs),
+        bounds=Bounds(np.zeros(q + n), np.concatenate([mi.caps, np.ones(n)])),
+        integrality=np.concatenate([np.zeros(q), np.ones(n)]),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.status == 0, res.message
+    return int(round(-res.fun))

@@ -13,8 +13,7 @@ from opinionbudget.lp import LinearProgram, NumericalFailure, solve_lp
 from opinionbudget.milp import build_milp, _node_program, _units
 from opinionbudget.model import confidence_matrix, validate
 
-from conftest import random_raw
-from test_milp import tiled_paper
+from conftest import random_raw, tiled_paper
 
 
 def vertex_oracle(lp):

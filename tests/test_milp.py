@@ -1,10 +1,7 @@
 """Branch-and-bound supporter maximization against the enumeration oracle."""
 
-import json
-
 import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from opinionbudget import milp as milp_module
 from opinionbudget.chain_analysis import analyze, asymptotic_opinions, evaluate_plan
@@ -13,6 +10,8 @@ from opinionbudget.knapsack import solve_by_classes
 from opinionbudget.milp import (
     TooLarge,
     _finish,
+    _node_program,
+    _units,
     brute_force_oracle,
     budget_sweep,
     build_milp,
@@ -20,7 +19,7 @@ from opinionbudget.milp import (
 )
 from opinionbudget.model import confidence_matrix, validate
 
-from conftest import PAPER_EXAMPLE, random_instance, random_raw
+from conftest import highs_per_agent_optimum, random_instance, random_raw, tiled_paper
 
 
 def nonzero_payments(instance, plan):
@@ -60,6 +59,10 @@ def test_degenerate_threshold_below_lower_bound(paper_instance, paper_analysis):
     assert sol.supporter_count == 12
     assert sol.plan.total_spend == 0.0
     assert sol.optimality == "proven"
+    ref = brute_force_oracle(inst, an)
+    assert ref.supporter_count == 12
+    assert ref.plan.total_spend == 0.0
+    assert ref.optimality == "proven"
 
 
 def test_paper_budget_309(paper_instance, paper_analysis):
@@ -225,40 +228,6 @@ def test_sweep_counts_nondecreasing_random():
         assert counts == sorted(counts)
 
 
-def tiled_paper(copies):
-    """Disjoint copies of the paper example, agents renamed per copy."""
-    raw = json.loads(PAPER_EXAMPLE.read_text(encoding="utf-8"))
-    return validate({
-        **raw,
-        "agents": [f"{a}{c}" for c in range(copies) for a in raw["agents"]],
-        "edges": [
-            {"from": f"{e['from']}{c}", "to": f"{e['to']}{c}", "w": e["w"]}
-            for c in range(copies) for e in raw["edges"]
-        ],
-        "opinions": raw["opinions"] * copies,
-        "costs": raw["costs"] * copies,
-    })
-
-
-def highs_per_agent_optimum(mi):
-    """Supporter optimum of the per-agent indicator linearization, by HiGHS."""
-    n, q = mi.instance.n, len(mi.pay_agents)
-    rows = np.zeros((1 + n, q + n))
-    rows[0, :q] = 1.0
-    rows[1:, :q] = -mi.rates
-    rows[1:, q:] = (mi.threshold - mi.lower_bound) * np.eye(n)
-    rhs = np.concatenate([[mi.budget], mi.baseline - mi.lower_bound])
-    res = milp(
-        np.concatenate([np.zeros(q), -np.ones(n)]),
-        constraints=LinearConstraint(rows, -np.inf, rhs),
-        bounds=Bounds(np.zeros(q + n), np.concatenate([mi.caps, np.ones(n)])),
-        integrality=np.concatenate([np.zeros(q), np.ones(n)]),
-        options={"mip_rel_gap": 0.0},
-    )
-    assert res.status == 0, res.message
-    return int(round(-res.fun))
-
-
 @pytest.mark.parametrize("budget,count,per_agent_nodes", [(99, 4, 82), (169, 7, 250), (293, 13, 488)])
 def test_tiled_paper_branches_on_units(budget, count, per_agent_nodes):
     inst = tiled_paper(2)
@@ -270,6 +239,27 @@ def test_tiled_paper_branches_on_units(budget, count, per_agent_nodes):
     # one indicator per agent took this many nodes: a class is one decision now
     assert sol.node_count < per_agent_nodes
     assert highs_per_agent_optimum(mi) == count
+
+
+def test_exact_linking_rows_tiled_four_copies(paper_instance, paper_analysis):
+    # a unit's indicator asks payments for exactly its own gap to the threshold
+    mi = build_milp(paper_instance, paper_analysis)
+    units = _units(paper_analysis.decomposition)
+    q, k = len(mi.pay_agents), len(units)
+    lp = _node_program(mi, units, np.zeros(k), np.ones(k), np.zeros(q + k))
+    for u, unit in enumerate(units):
+        gap = max(mi.threshold - mi.baseline[unit[0]], 0.0)
+        assert np.array_equal(lp.rows[1 + u, q:], gap * np.eye(k)[u])
+        assert lp.rhs[1 + u] == 0.0
+
+    # the global constant L = min baseline in every row took 822 nodes here
+    inst = tiled_paper(4)
+    cm = confidence_matrix(inst)
+    mi = build_milp(inst, analyze(cm, decompose(cm), inst.true_opinions), budget=1072.0)
+    sol = solve_milp(mi)
+    assert sol.optimality == "proven"
+    assert sol.supporter_count == highs_per_agent_optimum(mi) == 42
+    assert sol.node_count <= 150
 
 
 def test_tiled_paper_three_copies_matches_highs():
@@ -330,6 +320,29 @@ def test_optimal_above_oracle_limit_matches_highs():
         assert sol.supporter_count == highs_per_agent_optimum(mi)
         checked += 1
     assert checked >= 80
+
+
+def test_relabeling_agents_changes_nothing():
+    # payments are not compared: the lexicographic tie rule follows agent order
+    rng = np.random.default_rng(151)
+    for _ in range(100):
+        raw = random_raw(rng, n_min=4, n_max=20)
+        order = rng.permutation(len(raw["agents"]))
+        relabeled = {
+            **raw,
+            "agents": [raw["agents"][i] for i in order],
+            "edges": raw["edges"][::-1],
+            "opinions": [raw["opinions"][i] for i in order],
+            "costs": [raw["costs"][i] for i in order],
+        }
+        sols = []
+        for inst in (validate(raw), validate(relabeled)):
+            cm = confidence_matrix(inst)
+            mi = build_milp(inst, analyze(cm, decompose(cm), inst.true_opinions))
+            sols.append(solve_milp(mi, round_dollars=False))
+        first, second = sols
+        assert first.supporter_count == second.supporter_count
+        assert abs(first.plan.total_spend - second.plan.total_spend) <= 1e-9
 
 
 def test_rates_are_hitting_times_stationary_mass_per_dollar(paper_instance, paper_analysis):
