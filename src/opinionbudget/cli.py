@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except OSError as e:
         doc, code = {"error": "io_error", "message": str(e), "path": e.filename}, 1
     except RuntimeError as e:
-        # SingularSystem, NonConvergence, NumericalFailure
+        # SingularSystem, NonConvergence, NumericalFailure, fewer supporters than certified
         doc, code = {"error": "solver_failure", "message": str(e)}, 2
     try:
         _emit(_json(doc), args)

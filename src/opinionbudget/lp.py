@@ -34,6 +34,10 @@ BOUND_TOL = 1e-9
 COST_TOL = 1e-9
 #: Smallest |alpha_j| the dual ratio test pivots on.
 PIVOT_TOL = 1e-9
+#: Smallest |w_r| that blocks a primal step; smaller entries are rounding noise.
+PRIMAL_PIVOT_TOL = 1e-11
+#: Step lengths or dual ratios this close count as tied, so the index tie-break decides.
+TIE_TOL = 1e-12
 #: Pivots before switching from Dantzig to Bland pricing.
 BLAND_AFTER = 500
 #: Hard pivot limit; beyond it the solve is abandoned.
@@ -193,10 +197,10 @@ class _Simplex:
             for r in range(self.m):
                 coef = sigma * w[r]
                 i = self.basis[r]
-                if coef > 1e-11:
+                if coef > PRIMAL_PIVOT_TOL:
                     if np.isfinite(lower[i]):
                         candidates.append(((self.x[i] - lower[i]) / coef, i, r))
-                elif coef < -1e-11:
+                elif coef < -PRIMAL_PIVOT_TOL:
                     if np.isfinite(upper[i]):
                         candidates.append(((upper[i] - self.x[i]) / (-coef), i, r))
             t_basic = min((c0 for c0, _, _ in candidates), default=np.inf)
@@ -205,9 +209,9 @@ class _Simplex:
                 return "unbounded"
             t = max(t, 0.0)
 
-            if t_basic < t_limit - 1e-12:
+            if t_basic < t_limit - TIE_TOL:
                 # basis change; ties resolved toward the smallest variable index
-                hits = [(i, r) for c0, i, r in candidates if c0 <= t_basic + 1e-12]
+                hits = [(i, r) for c0, i, r in candidates if c0 <= t_basic + TIE_TOL]
                 leave_var, leave_row = min(hits)
                 coef = sigma * w[leave_row]
                 self._exchange(enter, sigma * t, w, leave_row,
@@ -246,7 +250,7 @@ class _Simplex:
                 return "infeasible" if self.farkas(rho, row) else "unproven"
             ratio = np.full(len(alpha), np.inf)
             ratio[eligible] = np.abs(reduced[eligible] / alpha[eligible])
-            enter = int(np.flatnonzero(ratio <= ratio.min() + 1e-12)[-1])
+            enter = int(np.flatnonzero(ratio <= ratio.min() + TIE_TOL)[-1])
             target = lower[leave] if toward > 0 else upper[leave]
             reduced = reduced - reduced[enter] / alpha[enter] * alpha
             self._exchange(enter, (xb[row] - target) / alpha[enter],

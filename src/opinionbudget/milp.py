@@ -6,12 +6,14 @@ budget sweeps.  The binary decisions are one indicator per class /
 transient agent: every member of an ergodic class settles on the class
 consensus, so a class is won or lost as a whole.  A unit's linking row
 is exact: payments must lift its limit by its own gap to the threshold,
-so no global big-M constant enters the relaxation.  The supporter count is
-optimized first; among maximum-count plans the cheapest payment
-certificate wins, ties resolved toward the lexicographically smallest
-payment vector.  Reported payments are rounded up to whole dollars when
-caps and budget allow, matching the dollar granularity of the cost data;
-pass ``round_dollars=False`` for the raw certificate.
+so no global big-M constant enters the relaxation.  Every node's LP
+payments fit the budget, so each is a plan whose supporters the one rule,
+``is_supporter``, decides.  The supporter count is optimized first; among
+maximum-count plans the cheapest payment certificate wins, ties resolved
+toward the lexicographically smallest payment vector.  Reported payments
+are rounded up to whole dollars when caps and budget allow, matching the
+dollar granularity of the cost data; pass ``round_dollars=False`` for the
+raw certificate.
 """
 
 import math
@@ -167,10 +169,8 @@ def _branch_var(z: np.ndarray, zlo, zup) -> int | None:
 
 def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
     for x, y in zip(a, b):
-        if x < y - SPEND_TOL:
-            return True
-        if x > y + SPEND_TOL:
-            return False
+        if x < y - SPEND_TOL or x > y + SPEND_TOL:
+            return x < y
     return False
 
 
@@ -189,8 +189,13 @@ def _round_payments_up(pay: np.ndarray, caps: np.ndarray, budget: float) -> np.n
     return pay.copy()
 
 
+def _won(mi: MilpInstance, reps, pay_q: np.ndarray) -> np.ndarray:
+    """Mask of the units, given by their representatives, that payments ``pay_q`` win."""
+    return is_supporter(mi.baseline[reps] + mi.rates[reps] @ pay_q, mi.threshold)
+
+
 def _finish(mi: MilpInstance, pay_q: np.ndarray, nodes: int, proven: bool,
-            round_dollars: bool) -> MilpSolution:
+            round_dollars: bool, certified: int = 0) -> MilpSolution:
     payments = np.zeros(mi.instance.n)
     # simplex residue below the spend resolution is not a payment
     payments[list(mi.pay_agents)] = np.where(pay_q > SPEND_TOL, pay_q, 0.0)
@@ -199,20 +204,21 @@ def _finish(mi: MilpInstance, pay_q: np.ndarray, nodes: int, proven: bool,
     if round_dollars:
         payments = _round_payments_up(payments, caps_full, mi.budget)
     plan = evaluate_plan(mi.instance, mi.analysis, payments, budget=mi.budget)
+    if len(plan.supporters) < certified:  # rounding up only adds payments
+        raise RuntimeError(f"plan wins {len(plan.supporters)} supporters, {certified} certified")
     return MilpSolution(plan, len(plan.supporters), "proven" if proven else "heuristic", nodes)
 
 
-def _branch_and_bound(program: LinearProgram, q: int, prune, accept,
-                      node_limit: int) -> tuple[int, bool]:
+def _branch_and_bound(program: LinearProgram, q: int, visit, node_limit: int) -> tuple[int, bool]:
     """Depth-first branch and bound over the indicators after the ``q`` payments.
 
     ``program`` is the pass's one relaxation; a node differs from it only
     in its variable bounds and is warm started from its parent's optimal
-    basis (the root solves cold).  Nodes that are infeasible or that
-    ``prune`` rejects are cut; an integral optimum is handed to ``accept``;
-    otherwise the most fractional indicator is branched on, its 1-branch
-    explored first.  Returns the nodes solved and whether the tree was
-    exhausted within ``node_limit``.
+    basis (the root solves cold).  ``visit`` sees every optimal node, may
+    take its payments as the incumbent, and says whether to cut it.
+    Infeasible and integral nodes are leaves; otherwise the most fractional
+    indicator is branched on, its 1-branch explored first.  Returns the
+    nodes solved and whether the tree was exhausted within ``node_limit``.
     """
     stack = [(program.lower, program.upper, None)]
     nodes = 0
@@ -222,11 +228,8 @@ def _branch_and_bound(program: LinearProgram, q: int, prune, accept,
         lower, upper, start = stack.pop()
         nodes += 1
         res = solve_lp(replace(program, lower=lower, upper=upper), start)
-        if res.status != "optimal" or prune(res):
-            continue
-        var = _branch_var(res.x[q:], lower[q:], upper[q:])
-        if var is None:
-            accept(res)
+        if (res.status != "optimal" or visit(res)
+                or (var := _branch_var(res.x[q:], lower[q:], upper[q:])) is None):
             continue
         upper0, lower1 = upper.copy(), lower.copy()
         upper0[q + var] = 0.0
@@ -254,45 +257,42 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
             raise ValueError(f"OBO_NODE_LIMIT must be an integer, got {limit!r}") from None
     q = len(mi.pay_agents)
     units = _units(mi.analysis.decomposition)
-    sizes = np.array([len(u) for u in units], dtype=float)
+    reps, sizes = [u[0] for u in units], np.array([len(u) for u in units], dtype=float)
     free = np.zeros(len(units)), np.ones(len(units))
 
-    # Pass 1: maximize the number of supporters.
-    best_z = is_supporter(mi.baseline[[u[0] for u in units]], mi.threshold) * 1.0
-    best_count = int(sizes @ best_z)
+    # Pass 1: maximize the number of supporters; every node's payments are a plan.
+    best_won = _won(mi, reps, np.zeros(q))
+    best_count = int(sizes @ best_won)
 
-    def count_cannot_improve(res):
+    def visit_count(res):
+        nonlocal best_count, best_won
+        won = _won(mi, reps, res.x[:q])
+        if (count := int(sizes @ won)) > best_count:
+            best_count, best_won = count, won
         return math.floor(res.objective + INT_TOL) <= best_count
 
-    def take_count(res):
-        nonlocal best_count, best_z
-        z = res.x[q:]
-        count = int(round(float(sizes @ z)))
-        if count > best_count:
-            best_count, best_z = count, (z >= 0.5) * 1.0
-
     count_lp = _node_program(mi, units, *free, np.concatenate([np.zeros(q), sizes]))
-    nodes, proven = _branch_and_bound(count_lp, q, count_cannot_improve, take_count, node_limit)
+    nodes, proven = _branch_and_bound(count_lp, q, visit_count, node_limit)
 
     # Pass 2: cheapest certificate for the optimal count.
-    seed = _min_spend_for_set(mi, units, best_z)
+    seed = _min_spend_for_set(mi, units, best_won)
     if seed.status != "optimal":
         raise RuntimeError("incumbent supporter set lost feasibility")  # pragma: no cover
     best_spend, best_pay = -seed.objective, seed.x[:q]
 
-    def spends_more(res):
-        return -res.objective > best_spend + SPEND_TOL
-
-    def take_cheaper(res):
+    def visit_spend(res):
         nonlocal best_spend, best_pay
         spend, pay = -res.objective, res.x[:q]
-        if spend < best_spend - SPEND_TOL or _lex_smaller(pay, best_pay):
+        cheaper = spend < best_spend - SPEND_TOL or (
+            spend <= best_spend + SPEND_TOL and _lex_smaller(pay, best_pay))
+        if cheaper and sizes @ _won(mi, reps, pay) >= best_count:
             best_spend, best_pay = spend, pay
+        return spend > best_spend + SPEND_TOL
 
     spend_lp = _node_program(mi, units, *free, np.concatenate([-np.ones(q), np.zeros(len(units))]),
                              min_count=best_count)
-    more, finished = _branch_and_bound(spend_lp, q, spends_more, take_cheaper, node_limit - nodes)
-    return _finish(mi, best_pay, nodes + more, proven and finished, round_dollars)
+    more, finished = _branch_and_bound(spend_lp, q, visit_spend, node_limit - nodes)
+    return _finish(mi, best_pay, nodes + more, proven and finished, round_dollars, best_count)
 
 
 def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
@@ -317,15 +317,15 @@ def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
         candidates.append((agents, chosen))
     candidates.sort(key=lambda c: (-len(c[0]), c[0]))
 
-    max_val = mi.baseline + mi.rates @ mi.caps
+    reachable = _won(mi, [u[0] for u in units], mi.caps)  # units won when every cap is paid
     tried = 0
     for agents, chosen in candidates:
-        if not is_supporter(max_val[list(agents)], mi.threshold).all():
+        if not reachable[np.flatnonzero(chosen)].all():
             continue
         tried += 1
         res = _min_spend_for_set(mi, units, chosen)
         if res.status == "optimal":
-            return _finish(mi, res.x[:q], tried, True, round_dollars)
+            return _finish(mi, res.x[:q], tried, True, round_dollars, len(agents))
     return _finish(mi, np.zeros(q), tried, True, round_dollars)
 
 

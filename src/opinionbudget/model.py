@@ -137,7 +137,7 @@ class PaymentPlan:
 
 
 def _check_schema(raw) -> None:
-    """Shape-level checks shared by :func:`validate` and :func:`load_instance`."""
+    """Shape-level checks, run first by :func:`validate` (so also by :func:`load_instance`)."""
     if not isinstance(raw, dict):
         raise ParseError("instance document must be a JSON object")
     for key in _REQUIRED_FIELDS:

@@ -1,10 +1,14 @@
 """Branch-and-bound supporter maximization against the enumeration oracle."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from opinionbudget import milp as milp_module
 from opinionbudget.chain_analysis import analyze, asymptotic_opinions, evaluate_plan
+from opinionbudget.cli import main
 from opinionbudget.decompose import decompose
 from opinionbudget.knapsack import solve_by_classes
 from opinionbudget.milp import (
@@ -19,7 +23,7 @@ from opinionbudget.milp import (
 )
 from opinionbudget.model import confidence_matrix, validate
 
-from conftest import highs_per_agent_optimum, random_instance, random_raw, tiled_paper
+from conftest import PAPER_EXAMPLE, highs_per_agent_optimum, random_instance, random_raw, tiled_paper
 
 
 def nonzero_payments(instance, plan):
@@ -361,3 +365,35 @@ def test_rates_are_hitting_times_stationary_mass_per_dollar(paper_instance, pape
             expected[:, col] = an.hitting[k] * an.pi[k][d.classes[k].index(a)] / inst.costs[a]
             assert mi.caps[col] == inst.costs[a] * (1.0 - inst.true_opinions[a])
         assert np.array_equal(mi.rates, expected)
+
+
+def test_plan_below_certified_count_is_a_solver_failure(paper_instance, paper_analysis,
+                                                        monkeypatch, capsys):
+    # rounding up only adds payments, so the reported plan never loses a certified supporter
+    def drop_one(*args, **kwargs):
+        plan = evaluate_plan(*args, **kwargs)
+        return replace(plan, supporters=plan.supporters[1:])
+
+    monkeypatch.setattr(milp_module, "evaluate_plan", drop_one)
+    with pytest.raises(RuntimeError, match="6 certified"):
+        solve_milp(build_milp(paper_instance, paper_analysis, budget=117.0))
+    with pytest.raises(RuntimeError, match="6 certified"):
+        brute_force_oracle(paper_instance, paper_analysis, budget=117.0)
+    assert main(["solve", str(PAPER_EXAMPLE), "--budget", "117"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "solver_failure"
+
+
+def test_every_node_payments_are_judged_as_a_plan():
+    # counting supporters only at integral nodes stopped at 11 and 9 here
+    rng = np.random.default_rng(160)
+    raws = [random_raw(rng, 40, 60, budget_scale=0.05) for _ in range(12)]
+    sols = []
+    for raw in (raws[4], raws[8]):
+        inst = validate(raw)
+        cm = confidence_matrix(inst)
+        mi = build_milp(inst, analyze(cm, decompose(cm), inst.true_opinions))
+        sols.append((inst.n, solve_milp(mi, node_limit=200), highs_per_agent_optimum(mi)))
+    (_, fifth, fifth_best), (n, ninth, ninth_best) = sols
+    assert fifth.supporter_count == fifth_best == 15
+    assert n == 52 and ninth_best == 23
+    assert ninth.optimality == "heuristic" and ninth.supporter_count >= 20
