@@ -1,7 +1,8 @@
 """Stationary distributions, hitting probabilities, and asymptotic opinions.
 
 The closed forms are all small dense linear systems: each ergodic class
-converges to the consensus ``pi . x(0)`` over its members, and one solve
+converges to the consensus ``pi . x(0)`` over its members (the stationary
+vectors of all classes of one size come from one stacked solve), and one solve
 of ``(I - Q) H_T = R`` over the transient states gives the (classes x
 agents) hitting matrix ``H`` (Kemeny & Snell's ``B = N R``), so the limit
 opinions are ``consensus @ H``.  This module also owns the price rule
@@ -14,11 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Decomposition, submatrix
+from .decompose import Decomposition, class_blocks
 from .model import ConfidenceMatrix, Instance, OPINION_TOL, BUDGET_TOL, PaymentPlan
 
 #: Residual bound for the stationary and hitting linear solves.
 SOLVE_TOL = 1e-10
+#: How far below zero a stationary vector entry may round.
+STATIONARY_NEG_TOL = 1e-12
 
 
 class SingularSystem(RuntimeError):
@@ -38,26 +41,46 @@ class NonConvergence(RuntimeError):
         self.change = change
 
 
+def _stationary_stack(blocks: np.ndarray) -> np.ndarray:
+    """Stationary vectors of a ``(count, m, m)`` stack of class matrices.
+
+    Solves every ``pi' E = pi'`` with one balance equation replaced by the
+    normalization ``sum(pi) = 1``, all in one batched solve; raises
+    :class:`SingularSystem` when any block is not irreducible (multiple
+    eigenvectors at 1).  Returns one row per block.
+    """
+    count, m, _ = blocks.shape
+    system = blocks.transpose(0, 2, 1) - np.eye(m)
+    system[:, -1, :] = 1.0  # replace last balance equation with normalization
+    rhs = np.zeros((count, m, 1))
+    rhs[:, -1] = 1.0
+    try:
+        pi = np.linalg.solve(system, rhs)[..., 0]
+    except np.linalg.LinAlgError as e:
+        raise SingularSystem(f"stationary system is singular: {e}") from e
+    residual = np.max(np.abs((pi[:, None, :] @ blocks)[:, 0, :] - pi))
+    if not np.isfinite(pi).all() or residual > SOLVE_TOL or pi.min() < -STATIONARY_NEG_TOL:
+        raise SingularSystem(f"stationary solve failed (residual {residual:.3e})")
+    return pi
+
+
 def stationary_distribution(class_matrix: np.ndarray) -> np.ndarray:
     """Normalized left eigenvector of a class submatrix at eigenvalue 1.
 
-    Solves ``pi' E = pi'`` with one balance equation replaced by the
-    normalization ``sum(pi) = 1``; raises :class:`SingularSystem` when the
-    matrix is not irreducible (multiple eigenvectors at 1).
+    The stack kernel behind :func:`analyze`, on a stack of one.
     """
-    m = class_matrix.shape[0]
-    system = class_matrix.T - np.eye(m)
-    system[-1, :] = 1.0  # replace last balance equation with normalization
-    rhs = np.zeros(m)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as e:
-        raise SingularSystem(f"stationary system is singular: {e}") from e
-    residual = np.max(np.abs(pi @ class_matrix - pi))
-    if not np.isfinite(pi).all() or residual > SOLVE_TOL or pi.min() < -1e-12:
-        raise SingularSystem(f"stationary solve failed (residual {residual:.3e})")
-    return pi
+    return _stationary_stack(class_matrix[None])[0]
+
+
+def _class_stationary(cm: ConfidenceMatrix, decomposition: Decomposition) -> tuple[np.ndarray, ...]:
+    """Stationary vector of every ergodic class, one stacked solve per class size."""
+    by_size: dict[int, list[int]] = {}
+    for k, size in enumerate(decomposition.sizes):
+        by_size.setdefault(size, []).append(k)
+    pi: dict[int, np.ndarray] = {}
+    for ks in by_size.values():
+        pi.update(zip(ks, _stationary_stack(class_blocks(cm, decomposition, ks))))
+    return tuple(pi[k] for k in range(len(decomposition.classes)))
 
 
 def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition) -> np.ndarray:
@@ -71,8 +94,8 @@ def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition) ->
     """
     a = cm.matrix
     h = np.zeros((len(decomposition.classes), cm.n))
-    for k, members in enumerate(decomposition.classes):
-        h[k, members] = 1.0
+    recurrent = [i for i, k in enumerate(decomposition.class_of) if k is not None]
+    h[[decomposition.class_of[i] for i in recurrent], recurrent] = 1.0
     if decomposition.transient:
         t = np.asarray(decomposition.transient)
         system = np.eye(len(t)) - a[np.ix_(t, t)]
@@ -130,8 +153,7 @@ def asymptotic_opinions(analysis: ChainAnalysis, opinions: np.ndarray) -> np.nda
 
 def analyze(cm: ConfidenceMatrix, decomposition: Decomposition, opinions: np.ndarray) -> ChainAnalysis:
     """Compute stationary vectors, the hitting matrix, consensi, and limits."""
-    m = len(decomposition.classes)
-    pi = tuple(stationary_distribution(submatrix(cm, decomposition, k)) for k in range(m))
+    pi = _class_stationary(cm, decomposition)
     hitting = hitting_probabilities(cm, decomposition)
     worst = np.max(np.abs(hitting.sum(axis=0) - 1.0))
     if worst > OPINION_TOL:

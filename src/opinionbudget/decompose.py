@@ -36,7 +36,7 @@ class Decomposition:
         return tuple(len(c) for c in self.classes)
 
 
-def _strongly_connected_components(adj: list[np.ndarray]) -> list[list[int]]:
+def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
     """Tarjan's algorithm, iterative to keep deep graphs off the call stack."""
     n = len(adj)
     index = [-1] * n
@@ -59,7 +59,7 @@ def _strongly_connected_components(adj: list[np.ndarray]) -> list[list[int]]:
             descended = False
             neighbors = adj[v]
             for k in range(next_edge, len(neighbors)):
-                w = int(neighbors[k])
+                w = neighbors[k]
                 if index[w] == -1:
                     work[-1] = (v, k + 1)
                     work.append((w, 0))
@@ -88,29 +88,34 @@ def _strongly_connected_components(adj: list[np.ndarray]) -> list[list[int]]:
 def decompose(cm: ConfidenceMatrix) -> Decomposition:
     """Split the chain's states into ergodic classes and transient states.
 
-    An SCC is ergodic exactly when no member has an edge to another
-    component.  Reading the adjacency lists scans every row of the dense
-    matrix, so the cost is O(n^2) in the number of states; the SCC search
-    after it is linear in states plus edges.
+    An SCC is ergodic exactly when no edge leaves it.  One
+    ``flatnonzero`` over the dense matrix lists every edge, row-major, so
+    each state's neighbors come out ascending; that pass is O(n^2) in the
+    number of states.  The SCC search and the closure test (one array
+    comparison of the components at both ends of every edge) are linear
+    in states plus edges.
     """
-    a = cm.matrix
     n = cm.n
-    adj = [np.flatnonzero(a[i] > 0.0) for i in range(n)]
+    rows, cols = np.divmod(np.flatnonzero(cm.matrix > 0.0), n)
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    targets = cols.tolist()
+    adj = [targets[starts[i]:starts[i + 1]] for i in range(n)]
     sccs = _strongly_connected_components(adj)
 
-    comp_of = [0] * n
+    comp_of = np.empty(n, dtype=np.intp)
     for c, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = c
+        comp_of[comp] = c
+    leaves = comp_of[rows] != comp_of[cols]
+    is_open = np.zeros(len(sccs), dtype=bool)
+    is_open[comp_of[rows[leaves]]] = True
 
     classes = []
     transient = []
-    for c, comp in enumerate(sccs):
-        closed = all(comp_of[int(w)] == c for v in comp for w in adj[v])
-        if closed:
-            classes.append(tuple(sorted(comp)))
-        else:
+    for comp, left in zip(sccs, is_open.tolist()):
+        if left:
             transient.extend(comp)
+        else:
+            classes.append(tuple(sorted(comp)))
     classes.sort(key=lambda members: members[0])
 
     class_of: list[int | None] = [None] * n
@@ -120,15 +125,23 @@ def decompose(cm: ConfidenceMatrix) -> Decomposition:
     return Decomposition(tuple(sorted(transient)), tuple(classes), tuple(class_of))
 
 
-def submatrix(cm: ConfidenceMatrix, decomposition: Decomposition, k: int) -> np.ndarray:
-    """Dense restriction of the confidence matrix to ergodic class ``k``.
+def class_blocks(cm: ConfidenceMatrix, decomposition: Decomposition, ks) -> np.ndarray:
+    """Dense restrictions of the confidence matrix to ergodic classes ``ks``.
 
-    Class closure makes the restriction row-stochastic; this is asserted
-    rather than assumed.
+    The classes must share one size ``m``; the result is a ``(len(ks), m,
+    m)`` stack gathered with one fancy index.  Class closure makes every
+    block row-stochastic; this is asserted rather than assumed.
     """
-    members = decomposition.classes[k]
-    sub = cm.matrix[np.ix_(members, members)].copy()
-    row_err = np.max(np.abs(sub.sum(axis=1) - 1.0))
-    if row_err > ROW_SUM_TOL:
-        raise ValueError(f"class {k} is not closed: row sums deviate by {row_err:.3e}")
-    return sub
+    members = np.array([decomposition.classes[k] for k in ks])
+    blocks = cm.matrix[members[:, :, None], members[:, None, :]]
+    row_err = np.max(np.abs(blocks.sum(axis=2) - 1.0), axis=1)
+    bad = np.flatnonzero(row_err > ROW_SUM_TOL)
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"class {ks[k]} is not closed: row sums deviate by {row_err[k]:.3e}")
+    return blocks
+
+
+def submatrix(cm: ConfidenceMatrix, decomposition: Decomposition, k: int) -> np.ndarray:
+    """Dense restriction of the confidence matrix to ergodic class ``k``."""
+    return class_blocks(cm, decomposition, [k])[0]

@@ -5,8 +5,11 @@ price tag in dollars.  The exact solver runs dynamic programming over the
 total value (values are small integers, weights are real dollars): one
 numpy update per item, O(items x total value) work, and one boolean
 decision table of that size from which the selection is backtracked.  Ties
-go to the lightest selection, then the lexicographically smallest.  The
-FPTAS rescales values first and inherits the same DP.
+go to the lightest selection, then the lexicographically smallest; an
+integer rank per value orders the kept selections, and it is re-densified
+(one ``np.unique``) only when its values could next overflow int64, not
+after every item.  The FPTAS rescales values first and inherits the same
+DP.
 """
 
 from dataclasses import dataclass
@@ -64,23 +67,40 @@ def _min_weight_dp(values: list[int], weights: list[float]) -> tuple[np.ndarray,
     per-value loop would form, so every weight is bit-identical to it.
     Value-0 items are never taken.  Unreachable values hold the empty
     selection, like value 0, so an ``inf`` tie is never taken either.
+
+    Only the order of the ranks matters, not their values.  An item that
+    takes nothing leaves the ranks as they are; one that takes maps them
+    to ``2 * rank`` (taken) or ``2 * rank + 1`` (kept), which orders them
+    exactly as the same map on dense ranks would, since a rank gap of one
+    becomes a key gap of at least one.  Dense ranks are at most ``total``,
+    so after ``62 - (total + 1).bit_length()`` such doublings the keys
+    are compressed back to dense ranks with ``np.unique``, before the
+    next doubling could overflow int64.
     """
     total = sum(values)
     best_w = np.full(total + 1, np.inf)
     best_w[0] = 0.0
     rank = np.zeros(total + 1, dtype=np.int64)
     take = np.zeros((len(values), total + 1), dtype=bool)
+    headroom = 62 - (total + 1).bit_length()
+    doublings = 0
     for idx, (v, w) in enumerate(zip(values, weights)):
         if v == 0:
             continue
         cand = best_w[:-v] + w
         cur = best_w[v:]
         row = (cand < cur) | ((cand == cur) & (rank[:-v] < rank[v:]))
+        if not row.any():
+            continue
         take[idx, v:] = row
         cur[row] = cand[row]
         key = 2 * rank + 1
         key[v:][row] = 2 * rank[:-v][row]
-        rank = np.unique(key, return_inverse=True)[1].reshape(-1)
+        rank = key
+        doublings += 1
+        if doublings == headroom:
+            rank = np.unique(rank, return_inverse=True)[1].reshape(-1)
+            doublings = 0
     return best_w, take
 
 

@@ -246,7 +246,8 @@ def confidence_matrix(instance: Instance) -> ConfidenceMatrix:
     w = np.zeros((n, n))
     for (i, j), v in instance.weights.items():
         w[i, j] = v
-    return ConfidenceMatrix(w / w.sum(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    return ConfidenceMatrix(w)
 
 
 def load_instance(path) -> Instance:

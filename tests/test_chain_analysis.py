@@ -14,7 +14,7 @@ from opinionbudget.chain_analysis import (
     iterate_dynamics,
     stationary_distribution,
 )
-from opinionbudget.decompose import decompose, submatrix
+from opinionbudget.decompose import Decomposition, decompose, submatrix
 from opinionbudget.model import ConfidenceMatrix, confidence_matrix
 
 from conftest import random_class, random_instance
@@ -237,7 +237,63 @@ def test_analyze_solves_the_transient_system_once(monkeypatch):
             continue
         solves.clear()
         analyze(cm, d, inst.true_opinions)
-        # one stationary solve per class, one hitting solve for all of them
-        assert len(solves) == len(d.classes) + 1
+        # one stationary solve per class size, one hitting solve for all classes
+        sizes = set(d.sizes)
+        assert len(solves) == len(sizes) + 1
         assert solves.count((d.n_transient, len(d.classes))) == 1
+        assert sorted(shape for shape in solves if len(shape) == 3) == sorted(
+            (d.sizes.count(m), m, 1) for m in sizes
+        )
         checked += 1
+
+
+def block_chain(rng, transients):
+    """Matrix of disjoint irreducible classes of 1-40 agents, some sizes
+    repeated, plus ``transients`` agents that feed into them; agents are
+    shuffled so class members are not contiguous."""
+    sizes = [int(m) for m in rng.integers(1, 41, int(rng.integers(2, 7)))]
+    sizes += [sizes[0]] * int(rng.integers(1, 4)) + [1, 1]
+    n_rec = sum(sizes)
+    n = n_rec + transients
+    a = np.zeros((n, n))
+    start = 0
+    for m in sizes:
+        block = rng.uniform(0.1, 1.0, (m, m)) * (rng.random((m, m)) < 0.3)
+        block[np.arange(m), np.arange(m)] = rng.uniform(0.1, 1.0, m)
+        block[np.arange(m), (np.arange(m) + 1) % m] += rng.uniform(0.1, 1.0, m)  # a cycle
+        a[start:start + m, start:start + m] = block
+        start += m
+    for t in range(n_rec, n):
+        a[t, t] = rng.uniform(0.1, 1.0)
+        a[t, int(rng.integers(0, n_rec))] = rng.uniform(0.1, 1.0)
+        a[t, rng.integers(n_rec, n, 2)] += rng.uniform(0.1, 1.0, 2)
+    a /= a.sum(axis=1, keepdims=True)
+    perm = rng.permutation(n)
+    return ConfidenceMatrix(a[np.ix_(perm, perm)].copy()), sorted(sizes)
+
+
+def test_batched_stationary_matches_single_solves_bitwise():
+    rng = np.random.default_rng(109)
+    for trial in range(24):
+        cm, sizes = block_chain(rng, transients=0 if trial % 2 else int(rng.integers(1, 30)))
+        d = decompose(cm)
+        assert sorted(d.sizes) == sizes
+        an = analyze(cm, d, rng.uniform(0.0, 1.0, cm.n))
+        for k in range(len(d.classes)):
+            single = stationary_distribution(submatrix(cm, d, k))
+            assert an.pi[k].tobytes() == single.tobytes()
+
+
+def test_analyze_rejects_a_class_that_is_not_closed():
+    # {0, 1} and {4} are closed; {2, 3} leaks into 4 but is declared a class
+    a = np.array([
+        [0.5, 0.5, 0.0, 0.0, 0.0],
+        [0.5, 0.5, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.4, 0.3, 0.3],
+        [0.0, 0.0, 0.5, 0.5, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+    ])
+    cm = ConfidenceMatrix(a)
+    d = Decomposition((), ((0, 1), (2, 3), (4,)), (0, 0, 1, 1, 2))
+    with pytest.raises(ValueError, match="class 1 is not closed"):
+        analyze(cm, d, np.zeros(5))

@@ -131,3 +131,37 @@ def test_submatrix_random_row_stochastic():
         for k in range(len(d.classes)):
             sub = submatrix(cm, d, k)
             assert np.max(np.abs(sub.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def brute_force_partition(a):
+    """Classes and transients from the transitive closure: a class is an
+    SCC whose reachable set is the SCC itself."""
+    n = a.shape[0]
+    reach = (a > 0.0) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1, :]
+    classes = set()
+    for i in range(n):
+        scc = frozenset(np.flatnonzero(reach[i] & reach[:, i]).tolist())
+        if scc == frozenset(np.flatnonzero(reach[i]).tolist()):
+            classes.add(tuple(sorted(scc)))
+    classes = tuple(sorted(classes))
+    recurrent = {i for c in classes for i in c}
+    return tuple(i for i in range(n) if i not in recurrent), classes
+
+
+def test_partition_matches_transitive_closure():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        n = int(rng.integers(1, 31))
+        density = rng.uniform(0.0, 0.25)
+        a = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < density)
+        a[np.arange(n), np.arange(n)] = rng.uniform(0.1, 1.0, n)
+        a /= a.sum(axis=1, keepdims=True)
+        d = decompose(ConfidenceMatrix(a))
+        transient, classes = brute_force_partition(a)
+        assert d.transient == transient
+        assert d.classes == classes
+        assert d.class_of == tuple(
+            next((k for k, c in enumerate(classes) if i in c), None) for i in range(n)
+        )

@@ -295,3 +295,53 @@ def test_solve_by_classes_prices_each_class_once(monkeypatch):
         for epsilon in (None, 0.1):
             solve_by_classes(inst, an, epsilon=epsilon)
         assert len(calls) == 2 * len(an.decomposition.classes)
+
+
+def long_tie_lists(rng, count):
+    """Lists of 150-200 items, values 1-6, weights in {0, 1, 2, 3} or from
+    a 3-value pool: long enough that the DP compresses its ranks."""
+    for t in range(count):
+        n = int(rng.integers(150, 201))
+        values = [int(v) for v in rng.integers(1, 7, n)]
+        weights = rng.integers(0, 4, n) if t % 2 else rng.choice(rng.uniform(0, 1, 3), n)
+        yield values, [float(w) for w in weights]
+
+
+def test_dp_matches_reference_through_rank_compression(monkeypatch):
+    compressions = []
+    unique = np.unique
+
+    def counting(*args, **kwargs):
+        compressions.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting)
+    rng = np.random.default_rng(113)
+    for values, weights in long_tie_lists(rng, 4):
+        compressions.clear()
+        ref_w, ref_sel = _reference_min_weight_dp(values, weights)
+        best_w, take = _min_weight_dp(values, weights)
+        assert len(compressions) >= 2
+        assert best_w.tolist() == ref_w
+        for val in range(len(ref_w)):
+            assert _backtrack(take, values, val) == ref_sel[val]
+        items = [KnapsackItem(i, v, w) for i, (v, w) in enumerate(zip(values, weights))]
+        budget = float(rng.uniform(0, sum(weights) + 1))
+        assert knapsack_exact(items, budget).selected == _reference_pick(values, weights, budget)
+
+
+def test_fptas_matches_reference_through_rank_compression():
+    rng = np.random.default_rng(127)
+    for values, weights in long_tie_lists(rng, 4):
+        # one weightless item of value 400 makes the value scale exceed 1
+        at = int(rng.integers(0, len(values) + 1))
+        values.insert(at, 400)
+        weights.insert(at, 0.0)
+        items = [KnapsackItem(i, v, w) for i, (v, w) in enumerate(zip(values, weights))]
+        budget = float(rng.uniform(3, sum(weights) + 1))
+        eps = 0.9
+        scale = eps * 400 / len(items)
+        assert scale > 1.0
+        scaled = [math.floor(v / scale) for v in values]
+        sel = _reference_pick(scaled, weights, budget)
+        assert knapsack_fptas(items, budget, eps).selected == sel
