@@ -256,3 +256,91 @@ def test_load_payments_maps_agents_by_name_not_order(tmp_path, paper_instance):
     assert loaded[paper_instance.index("l")] == 5.0
     assert loaded[paper_instance.index("a")] == 2.0
     assert loaded.sum() == 7.0
+
+
+def wide_raw():
+    """Valid instance of 100 agents and 500 distinct edges (self-loops first)."""
+    agents = [f"v{i}" for i in range(100)]
+    pairs = [(i, i) for i in range(100)] + [(i, (i + s) % 100) for s in (1, 2, 3, 5) for i in range(100)]
+    return {
+        "agents": agents,
+        "edges": [{"from": agents[i], "to": agents[j], "w": 1.0 + (i * 7 + j) % 5} for i, j in pairs],
+        "opinions": [0.5] * 100,
+        "costs": [1.0] * 100,
+        "threshold": 0.5,
+        "budget": 1.0,
+    }
+
+
+def _edge(key, value):
+    def edit(raw, k):
+        raw["edges"][k][key] = value
+    return edit
+
+
+def _field(key, pos, value):
+    def edit(raw, k):
+        raw[key][pos] = value
+    return edit
+
+
+def _top(key, value):
+    def edit(raw, k):
+        raw[key] = value
+    return edit
+
+
+def _non_dict(raw, k):
+    raw["edges"][k] = [raw["edges"][k]["from"], raw["edges"][k]["to"], 1.0]
+
+
+def _drop_weight(raw, k):
+    del raw["edges"][k]["w"]
+
+
+def _duplicate(raw, k):
+    raw["edges"][k] = dict(raw["edges"][180])
+
+
+#: fault -> (edit of edge k, message for k = 250, field)
+SCHEMA_FAULTS = {
+    "non-dict edge": (_non_dict, "each edge needs 'from', 'to' and 'w'", "edges"),
+    "missing key": (_drop_weight, "each edge needs 'from', 'to' and 'w'", "edges"),
+    "unknown endpoint": (_edge("to", "zz"), "edge endpoint not in agent list: 'v50' -> 'zz'", "edges"),
+    "bool weight": (_edge("w", True), "edge weight must be a number", "edges"),
+    "string weight": (_edge("w", "1.0"), "edge weight must be a number", "edges"),
+    "duplicate edge": (_duplicate, "duplicate edge 'v80' -> 'v81'", "edges"),
+    "bool opinion": (_field("opinions", 50, False), "entries must be numbers", "opinions"),
+    "bool cost": (_field("costs", 50, True), "entries must be numbers", "costs"),
+    "bool threshold": (_top("threshold", True), "must be a number", "threshold"),
+    "non-string agent": (_field("agents", 50, 50), "agent identifiers must be strings", "agents"),
+}
+
+
+@pytest.mark.parametrize("fault", SCHEMA_FAULTS)
+def test_schema_fault_in_a_long_list_names_it_exactly(fault):
+    edit, message, field = SCHEMA_FAULTS[fault]
+    raw = wide_raw()
+    validate(raw)
+    edit(raw, 250)
+    with pytest.raises(ParseError) as e:
+        validate(raw)
+    assert str(e.value) == f"{message} (field: {field})"
+    assert e.value.field == field
+
+
+@pytest.mark.parametrize("first, second", [
+    ("bool weight", "unknown endpoint"),
+    ("unknown endpoint", "missing key"),
+    ("duplicate edge", "non-dict edge"),
+    ("non-dict edge", "string weight"),
+])
+def test_first_faulty_edge_wins(first, second):
+    """With faults at edges 250 and 320, the one at edge 250 is reported."""
+    for early, late in ((first, second), (second, first)):
+        raw = wide_raw()
+        SCHEMA_FAULTS[early][0](raw, 250)
+        SCHEMA_FAULTS[late][0](raw, 320)
+        with pytest.raises(ParseError) as e:
+            validate(raw)
+        assert str(e.value) == f"{SCHEMA_FAULTS[early][1]} (field: edges)"
