@@ -74,12 +74,9 @@ def stationary_distribution(class_matrix: np.ndarray) -> np.ndarray:
 
 def _class_stationary(cm: ConfidenceMatrix, decomposition: Decomposition) -> tuple[np.ndarray, ...]:
     """Stationary vector of every ergodic class, one stacked solve per class size."""
-    by_size: dict[int, list[int]] = {}
-    for k, size in enumerate(decomposition.sizes):
-        by_size.setdefault(size, []).append(k)
     pi: dict[int, np.ndarray] = {}
-    for ks in by_size.values():
-        pi.update(zip(ks, _stationary_stack(class_blocks(cm, decomposition, ks))))
+    for ks, _ in decomposition.groups:
+        pi.update(zip(ks.tolist(), _stationary_stack(class_blocks(cm, decomposition, ks))))
     return tuple(pi[k] for k in range(len(decomposition.classes)))
 
 
@@ -112,6 +109,16 @@ def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition) ->
     return h
 
 
+def consensus_stack(pi: np.ndarray, opinions: np.ndarray) -> np.ndarray:
+    """Consensus of each row of a ``(count, m)`` stack of classes.
+
+    One stacked ``matmul`` of ``(count, 1, m)`` by ``(count, m, 1)``, which
+    numpy runs as one ``ddot`` per row: the same sums a ``np.dot`` per
+    class forms.
+    """
+    return (pi[:, None, :] @ opinions[:, :, None])[:, 0, 0]
+
+
 def consensus_opinion(pi: np.ndarray, opinions: np.ndarray) -> float:
     """Consensus an ergodic class settles on: influence-weighted opinions."""
     return float(np.dot(pi, opinions))
@@ -134,12 +141,18 @@ class ChainAnalysis:
 
 
 def _limits(decomposition: Decomposition, pi, hitting, opinions) -> tuple[tuple[float, ...], np.ndarray]:
-    """Class consensi and per-agent limit opinions for one opinion vector."""
-    cons = tuple(
-        consensus_opinion(pi[k], opinions[np.asarray(members)])
-        for k, members in enumerate(decomposition.classes)
-    )
-    return cons, np.asarray(cons) @ hitting
+    """Class consensi and per-agent limit opinions for one opinion vector.
+
+    The consensi take one :func:`consensus_stack` per class size.  Without
+    transients every hitting column is an exact class indicator, so the
+    limits are the consensi gathered by class, the same values
+    ``consensus @ hitting`` gives.
+    """
+    cons = np.empty(len(decomposition.classes))
+    for ks, members in decomposition.groups:
+        cons[ks] = consensus_stack(np.array([pi[k] for k in ks.tolist()]), opinions[members])
+    limits = cons @ hitting if decomposition.transient else cons[np.array(decomposition.class_of)]
+    return tuple(cons.tolist()), limits
 
 
 def asymptotic_opinions(analysis: ChainAnalysis, opinions: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from functools import cmp_to_key
 
 import numpy as np
 
+from .chain_analysis import consensus_stack
 from .model import OPINION_TOL
 
 
@@ -56,6 +57,65 @@ def _influence_order(pi: np.ndarray, costs: np.ndarray) -> list[int]:
     return sorted(range(len(pi)), key=cmp_to_key(cmp))
 
 
+def min_budget_stack(
+    pi: np.ndarray,
+    opinions: np.ndarray,
+    costs: np.ndarray,
+    threshold: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy payments for a ``(count, m)`` stack of same-size classes.
+
+    Row ``r`` holds one class's stationary vector, true opinions and costs.
+    Returns the payments, one row per class in its member order, and the
+    member position of each class's critical item (-1 where the unpaid
+    consensus already reaches ``threshold``).  Every row goes through the
+    same scalar steps, in the same order, as a loop over one class would:
+    the consensi are ``ddot`` products (:func:`consensus_stack`), and the
+    walk down the greedy order is one elementwise step per position.
+    """
+    if threshold > 1.0 + OPINION_TOL:
+        raise InfeasibleThreshold(f"target consensus {threshold} exceeds 1")
+    count, m = pi.shape
+    payments = np.zeros((count, m))
+    critical = np.full(count, -1)
+    # not (consensus >= threshold), so a NaN consensus is priced, not skipped
+    need = np.flatnonzero(~(consensus_stack(pi, opinions) >= threshold))
+    if not need.size:
+        return payments, critical
+    order = np.array([_influence_order(pi[r], costs[r]) for r in need.tolist()], dtype=np.intp)
+    rows = np.arange(need.size)
+    p, x, c = (a[need[:, None], order] for a in (pi, opinions, costs))
+
+    # value(t) = consensus after paying the first t agents in greedy order
+    # to opinion 1; the critical item is the first t where it crosses, and
+    # (paid, rest) are kept from just before it.
+    paid = np.zeros(need.size)
+    rest = consensus_stack(p, x)
+    crit = np.full(need.size, m - 1)
+    crit_paid, crit_rest = np.empty(need.size), np.empty(need.size)
+    open_ = np.ones(need.size, dtype=bool)
+    for pos in range(m):
+        before_paid, before_rest = paid, rest
+        paid = paid + p[:, pos]
+        rest = rest - p[:, pos] * x[:, pos]
+        hit = open_ & (paid + rest >= threshold)
+        crit[hit] = pos
+        crit_paid[hit], crit_rest[hit] = before_paid[hit], before_rest[hit]
+        open_ &= ~hit
+    # float undershoot with threshold == 1: treat the last as critical
+    crit_paid[open_] = paid[open_] - p[open_, -1]
+    crit_rest[open_] = rest[open_] + p[open_, -1] * x[open_, -1]
+
+    cap = c * (1.0 - x)
+    paid_sorted = np.where(np.arange(m) < crit[:, None], cap, 0.0)
+    top_up = (c[rows, crit] / p[rows, crit]) * (threshold - crit_paid - crit_rest)
+    top_up = np.where(0.0 > top_up, 0.0, top_up)  # max(top_up, 0.0)
+    paid_sorted[rows, crit] = np.where(cap[rows, crit] < top_up, cap[rows, crit], top_up)  # min(., cap)
+    payments[need[:, None], order] = paid_sorted
+    critical[need] = order[rows, crit]
+    return payments, critical
+
+
 def min_budget_for_class(
     pi: np.ndarray,
     opinions: np.ndarray,
@@ -66,49 +126,16 @@ def min_budget_for_class(
 
     Parameters are restricted to one ergodic class: its stationary vector,
     the members' true opinions, and their per-unit costs.  Always feasible
-    for thresholds up to 1 because the fully paid consensus is 1.
+    for thresholds up to 1 because the fully paid consensus is 1.  This is
+    :func:`min_budget_stack` on a stack of one.
     """
-    pi = np.asarray(pi, dtype=float)
-    opinions = np.asarray(opinions, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    nk = len(pi)
-    if threshold > 1.0 + OPINION_TOL:
-        raise InfeasibleThreshold(f"target consensus {threshold} exceeds 1")
-
-    payments = np.zeros(nk)
-    if np.dot(pi, opinions) >= threshold:
-        return ClassBudgetResult(payments, None, 0.0, True)
-
-    order = _influence_order(pi, costs)
-    # value(t) = consensus after paying the first t agents in greedy order
-    # to opinion 1; the critical item is the first t where it crosses.
-    paid_mass = 0.0
-    rest = float(np.dot(pi[order], opinions[order]))
-    critical_pos = nk - 1
-    for pos, j in enumerate(order):
-        before_paid = paid_mass
-        before_rest = rest
-        paid_mass += pi[j]
-        rest -= pi[j] * opinions[j]
-        if paid_mass + rest >= threshold:
-            critical_pos = pos
-            paid_mass = before_paid
-            rest = before_rest
-            break
-    else:
-        # float undershoot with threshold == 1: treat the last as critical
-        paid_mass -= pi[order[-1]]
-        rest += pi[order[-1]] * opinions[order[-1]]
-
-    for pos in range(critical_pos):
-        j = order[pos]
-        payments[j] = costs[j] * (1.0 - opinions[j])
-    s = order[critical_pos]
-    cap = costs[s] * (1.0 - opinions[s])
-    top_up = (costs[s] / pi[s]) * (threshold - paid_mass - rest)
-    payments[s] = min(max(top_up, 0.0), cap)
-
-    return ClassBudgetResult(payments, s, float(payments.sum()), True)
+    payments, critical = min_budget_stack(
+        *(np.asarray(a, dtype=float)[None] for a in (pi, opinions, costs)), threshold
+    )
+    s = int(critical[0])
+    if s < 0:
+        return ClassBudgetResult(payments[0], None, 0.0, True)
+    return ClassBudgetResult(payments[0], s, float(payments[0].sum()), True)
 
 
 def class_cost_curve(

@@ -7,6 +7,7 @@ diagnostics on stdout), 2 on solver failures.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -182,7 +183,9 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="obo",
         description="Budgeted opinion promotion on directed influence graphs.",
@@ -228,8 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except model.ParseError as e:

@@ -9,6 +9,7 @@ deterministic function of the matrix alone.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,25 @@ class Decomposition:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
+
+    @cached_property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The classes of each size, sizes in order of first appearance.
+
+        Each entry is ``(ks, members)``: the class indices, ascending, and a
+        ``(len(ks), m)`` array with one class's members per row.  Batched
+        kernels take one call per entry.  Computed once per decomposition.
+        """
+        by_size: dict[int, list[int]] = {}
+        for k, members in enumerate(self.classes):
+            by_size.setdefault(len(members), []).append(k)
+        out = []
+        for ks in by_size.values():
+            ks = np.array(ks)
+            members = np.array([self.classes[k] for k in ks.tolist()], dtype=np.intp)
+            ks.flags.writeable = members.flags.writeable = False
+            out.append((ks, members))
+        return tuple(out)
 
 
 def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:

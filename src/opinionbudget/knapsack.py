@@ -18,7 +18,9 @@ from math import floor
 import numpy as np
 
 from .chain_analysis import ChainAnalysis, evaluate_plan
-from .class_budget import ClassBudgetResult, min_budget_for_class
+# min_budget_for_class is not called here; perfbench/spans.py patches this
+# module attribute to trace single-class pricing, so it stays importable.
+from .class_budget import min_budget_for_class, min_budget_stack  # noqa: F401
 from .model import Instance, PaymentPlan
 
 
@@ -156,15 +158,25 @@ def knapsack_fptas(items: list[KnapsackItem], budget: float, epsilon: float) -> 
     return _select(fit, [floor(it.value / scale) for it in fit], budget)
 
 
-def _priced_classes(
-    instance: Instance, analysis: ChainAnalysis
-) -> tuple[list[KnapsackItem], list[ClassBudgetResult]]:
-    """Knapsack items of every ergodic class, and the greedy pricing behind each."""
-    prices = [
-        min_budget_for_class(analysis.pi[k], instance.true_opinions[m], instance.costs[m], instance.threshold)
-        for k, m in enumerate(map(np.asarray, analysis.decomposition.classes))
-    ]
-    return [KnapsackItem(k, len(r.payments), r.total) for k, r in enumerate(prices)], prices
+def _priced_classes(instance: Instance, analysis: ChainAnalysis) -> tuple[list[KnapsackItem], np.ndarray]:
+    """Knapsack items of every ergodic class, and each class's greedy payments.
+
+    One :func:`min_budget_stack` call per class size.  The payments come as
+    one vector over all agents: each class's payments at its members (zero
+    for transient agents).
+    """
+    d = analysis.decomposition
+    totals = np.empty(len(d.classes))
+    payments = np.zeros(instance.n)
+    for ks, members in d.groups:
+        pay, _ = min_budget_stack(
+            np.array([analysis.pi[k] for k in ks.tolist()]),
+            instance.true_opinions[members], instance.costs[members], instance.threshold,
+        )
+        payments[members] = pay
+        totals[ks] = pay.sum(axis=1)
+    items = [KnapsackItem(k, len(m), t) for k, (m, t) in enumerate(zip(d.classes, totals.tolist()))]
+    return items, payments
 
 
 def class_items(instance: Instance, analysis: ChainAnalysis) -> list[KnapsackItem]:
@@ -189,10 +201,10 @@ def solve_by_classes(
             "instance has transient states; class selection is not exact, use the MILP solver"
         )
     b = instance.budget if budget is None else float(budget)
-    items, prices = _priced_classes(instance, analysis)
+    items, class_payments = _priced_classes(instance, analysis)
     solution = knapsack_exact(items, b) if epsilon is None else knapsack_fptas(items, b, epsilon)
-    payments = np.zeros(instance.n)
-    for k in solution.selected:
-        payments[np.asarray(analysis.decomposition.classes[k])] = prices[k].payments
+    taken = np.zeros(len(items), dtype=bool)
+    taken[list(solution.selected)] = True
+    payments = np.where(taken[np.array(analysis.decomposition.class_of)], class_payments, 0.0)
     plan = evaluate_plan(instance, analysis, payments, budget=b)
     return plan, solution

@@ -9,7 +9,10 @@ the row-stochastic confidence matrix derived from the edge weights.
 """
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -136,8 +139,71 @@ class PaymentPlan:
         }
 
 
-def _check_schema(raw) -> None:
-    """Shape-level checks, run first by :func:`validate` (so also by :func:`load_instance`)."""
+def _numbers(values) -> bool:
+    """Every value is an int or float and not a bool, as JSON numbers are.
+
+    One set of exact types decides the common case; subclasses such as
+    ``np.float64`` fall through to the per-value check.
+    """
+    return set(map(type, values)) <= {int, float} or all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    )
+
+
+def _first_edge_fault(edges, known) -> ParseError | None:
+    """The :class:`ParseError` of the first malformed edge, in list order.
+
+    Only runs when the array checks of :func:`_edge_columns` saw a fault, or
+    values of a subclass type (which pass, giving ``None``), so its per-edge
+    loop is never on the path of a valid instance of plain JSON types.
+    """
+    seen = set()
+    for e in edges:
+        if not isinstance(e, dict) or not {"from", "to", "w"} <= set(e):
+            return ParseError("each edge needs 'from', 'to' and 'w'", field="edges")
+        if e["from"] not in known or e["to"] not in known:
+            return ParseError(f"edge endpoint not in agent list: {e['from']!r} -> {e['to']!r}", field="edges")
+        if not _numbers((e["w"],)):
+            return ParseError("edge weight must be a number", field="edges")
+        key = (e["from"], e["to"])
+        if key in seen:
+            return ParseError(f"duplicate edge {key[0]!r} -> {key[1]!r}", field="edges")
+        seen.add(key)
+    return None
+
+
+def _edge_columns(edges: list, index: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source indices, target indices and weights of the edge list.
+
+    Each column is read with one ``map`` over the edges, names mapped
+    through the agent ``index``; the endpoints go straight into arrays.
+    Unknown endpoints map to -1, and duplicates show as equal neighbours in
+    one sort of ``src * n + dst``.  On any fault the first bad edge is
+    reported by :func:`_first_edge_fault`, with the message a scan gives.
+    """
+    n, count = len(index), len(edges)
+    try:
+        src, dst = (
+            np.fromiter(map(index.get, map(itemgetter(end), edges), repeat(-1)), np.intp, count)
+            for end in ("from", "to")
+        )
+        w = list(map(itemgetter("w"), edges))
+    except (KeyError, TypeError):  # a non-dict edge, a missing key or an unhashable endpoint
+        raise _first_edge_fault(edges, index) from None
+    keys = np.sort(src * n + dst)
+    if ((src < 0).any() or (dst < 0).any() or (keys[1:] == keys[:-1]).any()
+            or not set(map(type, edges)) <= {dict} or not _numbers(w)):
+        fault = _first_edge_fault(edges, index)
+        if fault is not None:
+            raise fault
+    return src, dst, np.array(w, dtype=float)
+
+
+def _check_schema(raw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shape-level checks, run first by :func:`validate` (so also by :func:`load_instance`).
+
+    Returns the edge columns of :func:`_edge_columns`.
+    """
     if not isinstance(raw, dict):
         raise ParseError("instance document must be a JSON object")
     for key in _REQUIRED_FIELDS:
@@ -146,7 +212,7 @@ def _check_schema(raw) -> None:
     agents = raw["agents"]
     if not isinstance(agents, list) or not agents:
         raise ParseError("agent list must be a non-empty array", field="agents")
-    if any(not isinstance(a, str) for a in agents):
+    if not (set(map(type, agents)) <= {str} or all(isinstance(a, str) for a in agents)):
         raise ParseError("agent identifiers must be strings", field="agents")
     if len(set(agents)) != len(agents):
         dupes = sorted({a for a in agents if agents.count(a) > 1})
@@ -156,29 +222,23 @@ def _check_schema(raw) -> None:
         vec = raw[key]
         if not isinstance(vec, list) or len(vec) != n:
             raise ParseError(f"expected {n} entries, one per agent", field=key)
-        if any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in vec):
+        if not _numbers(vec):
             raise ParseError("entries must be numbers", field=key)
     if not isinstance(raw["edges"], list):
         raise ParseError("edges must be an array", field="edges")
-    known = set(agents)
-    seen = set()
-    for e in raw["edges"]:
-        if not isinstance(e, dict) or not {"from", "to", "w"} <= set(e):
-            raise ParseError("each edge needs 'from', 'to' and 'w'", field="edges")
-        if e["from"] not in known or e["to"] not in known:
-            raise ParseError(f"edge endpoint not in agent list: {e['from']!r} -> {e['to']!r}", field="edges")
-        if not isinstance(e["w"], (int, float)) or isinstance(e["w"], bool):
-            raise ParseError("edge weight must be a number", field="edges")
-        key = (e["from"], e["to"])
-        if key in seen:
-            raise ParseError(f"duplicate edge {key[0]!r} -> {key[1]!r}", field="edges")
-        seen.add(key)
+    columns = _edge_columns(raw["edges"], {a: i for i, a in enumerate(agents)})
     for key in ("threshold", "budget"):
-        if not isinstance(raw[key], (int, float)) or isinstance(raw[key], bool):
+        if not _numbers((raw[key],)):
             raise ParseError("must be a number", field=key)
     unit = raw.get("cost_unit", "per_unit")
     if unit not in ("per_unit", "per_0.1"):
         raise ParseError(f"unknown cost_unit {unit!r}", field="cost_unit")
+    return columns
+
+
+def _nonfinite(x):
+    """NaN or +inf: the non-finite values that no sign check already rejects."""
+    return ~np.isfinite(x) & ~(x < 0.0)
 
 
 def validate(raw: dict) -> Instance:
@@ -186,9 +246,12 @@ def validate(raw: dict) -> Instance:
 
     Returns a validated :class:`Instance`, or raises
     :class:`InvalidInstance` carrying one :class:`Violation` per failure
-    (all problems are reported, not just the first).
+    (all problems are reported, not just the first): edge faults in edge
+    order, then each agent's faults in agent order, then the budget and
+    the threshold.  Every check is one array mask; only the violations
+    found are built one by one.
     """
-    _check_schema(raw)
+    src, dst, w = _check_schema(raw)
     agents = tuple(raw["agents"])
     n = len(agents)
     opinions = np.asarray(raw["opinions"], dtype=float)
@@ -198,36 +261,45 @@ def validate(raw: dict) -> Instance:
     threshold = float(raw["threshold"])
     budget = float(raw["budget"])
 
-    index = {a: i for i, a in enumerate(agents)}
-    weights: dict[tuple[int, int], float] = {}
     violations: list[Violation] = []
-    row_sums = np.zeros(n)
-    for e in raw["edges"]:
-        i, j, w = index[e["from"]], index[e["to"]], float(e["w"])
-        if w < 0.0:
-            violations.append(Violation("NegativeWeight", agents[i],
-                                        f"edge {agents[i]!r} -> {agents[j]!r} has negative weight {w}"))
-            continue
-        if w > 0.0:
-            weights[(i, j)] = w
-            row_sums[i] += w
+    negative, nonfinite = w < 0.0, _nonfinite(w)
+    for k in np.flatnonzero(negative | nonfinite).tolist():
+        a, b, v = agents[src[k]], agents[dst[k]], float(w[k])
+        if nonfinite[k]:
+            violations.append(Violation("NonFiniteWeight", a, f"edge {a!r} -> {b!r} has non-finite weight {v}"))
+        else:
+            violations.append(Violation("NegativeWeight", a, f"edge {a!r} -> {b!r} has negative weight {v}"))
 
-    for i, a in enumerate(agents):
-        if weights.get((i, i), 0.0) <= 0.0:
+    positive = w > 0.0
+    src, dst, w = src[positive], dst[positive], w[positive]
+    weights = dict(zip(zip(src.tolist(), dst.tolist()), w.tolist()))
+    # bincount adds each row's weights in edge order
+    row_sums = np.bincount(src, weights=w, minlength=n)
+    no_self = np.ones(n, dtype=bool)
+    no_self[src[src == dst]] = False
+    empty_row = row_sums <= 0.0
+    bad_opinion = ~((0.0 <= opinions) & (opinions <= 1.0))
+    bad_cost, nonfinite_cost = costs <= 0.0, _nonfinite(costs)
+    for i in np.flatnonzero(no_self | empty_row | bad_opinion | bad_cost | nonfinite_cost).tolist():
+        a = agents[i]
+        if no_self[i]:
             violations.append(Violation("NoSelfConfidence", a,
                                         f"agent {a!r} must have a positive self-weight"))
-        if row_sums[i] <= 0.0:
+        if empty_row[i]:
             violations.append(Violation("NonStochasticRow", a,
                                         f"agent {a!r} has zero total outgoing weight; row cannot be normalized"))
-        x = opinions[i]
-        if not (0.0 <= x <= 1.0):
+        if bad_opinion[i]:
             violations.append(Violation("OpinionOutOfRange", a,
-                                        f"opinion {x} of agent {a!r} is outside [0, 1]"))
-        if costs[i] <= 0.0:
+                                        f"opinion {opinions[i]} of agent {a!r} is outside [0, 1]"))
+        if bad_cost[i]:
             violations.append(Violation("NonpositiveCost", a,
                                         f"cost {costs[i]} of agent {a!r} must be strictly positive"))
+        if nonfinite_cost[i]:
+            violations.append(Violation("NonFiniteCost", a, f"cost {costs[i]} of agent {a!r} must be finite"))
     if budget < 0.0:
         violations.append(Violation("NegativeBudget", None, f"budget {budget} must be nonnegative"))
+    elif not math.isfinite(budget):
+        violations.append(Violation("NonFiniteBudget", None, f"budget {budget} must be finite"))
     if not (0.0 < threshold <= 1.0):
         violations.append(Violation("ThresholdOutOfRange", None,
                                     f"threshold {threshold} must lie in (0, 1]"))
@@ -242,10 +314,10 @@ def validate(raw: dict) -> Instance:
 
 def confidence_matrix(instance: Instance) -> ConfidenceMatrix:
     """Row-normalize the weights: ``A[i, j] = w_ij / W_i``."""
-    n = instance.n
+    n, count = instance.n, len(instance.weights)
+    ij = np.fromiter(chain.from_iterable(instance.weights), np.intp, 2 * count).reshape(count, 2)
     w = np.zeros((n, n))
-    for (i, j), v in instance.weights.items():
-        w[i, j] = v
+    w[ij[:, 0], ij[:, 1]] = np.fromiter(instance.weights.values(), float, count)
     w /= w.sum(axis=1, keepdims=True)
     return ConfidenceMatrix(w)
 
@@ -307,7 +379,7 @@ def load_payments(path, instance: Instance) -> np.ndarray:
     for agent, amount in payments.items():
         if agent not in index:
             raise ParseError(f"payment for unknown agent {agent!r}", field="payments")
-        if not isinstance(amount, (int, float)) or isinstance(amount, bool) or amount < 0:
+        if not _numbers((amount,)) or not 0 <= amount < math.inf:
             raise ParseError(f"payment for {agent!r} must be a nonnegative number", field="payments")
         p[index[agent]] = float(amount)
     return p

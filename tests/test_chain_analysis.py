@@ -297,3 +297,18 @@ def test_analyze_rejects_a_class_that_is_not_closed():
     d = Decomposition((), ((0, 1), (2, 3), (4,)), (0, 0, 1, 1, 2))
     with pytest.raises(ValueError, match="class 1 is not closed"):
         analyze(cm, d, np.zeros(5))
+
+
+def test_batched_consensi_and_limits_match_per_class_products_bitwise():
+    rng = np.random.default_rng(113)
+    for trial in range(24):
+        cm, _ = block_chain(rng, transients=0 if trial % 2 else int(rng.integers(1, 30)))
+        d = decompose(cm)
+        an = analyze(cm, d, rng.uniform(0.0, 1.0, cm.n))
+        for x in (rng.uniform(0.0, 1.0, cm.n), rng.choice([0.0, 0.5, 1.0], cm.n)):
+            cons = [float(np.dot(an.pi[k], x[np.asarray(m)])) for k, m in enumerate(d.classes)]
+            limits = asymptotic_opinions(an, x)
+            assert limits.tobytes() == (np.asarray(cons) @ an.hitting).tobytes()
+            redone = analyze(cm, d, x)
+            assert np.array(redone.consensus).tobytes() == np.array(cons).tobytes()
+            assert redone.asymptotic.tobytes() == limits.tobytes()

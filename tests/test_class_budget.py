@@ -8,8 +8,10 @@ import pytest
 from opinionbudget.class_budget import (
     InfeasibleThreshold,
     TargetOutOfRange,
+    _influence_order,
     class_cost_curve,
     min_budget_for_class,
+    min_budget_stack,
 )
 from opinionbudget.lp import LinearProgram, solve_lp
 
@@ -163,3 +165,66 @@ def test_cost_curve_target_out_of_range():
         class_cost_curve(PI_2, X_2, C_2, [base - 0.01])
     with pytest.raises(TargetOutOfRange):
         class_cost_curve(PI_2, X_2, C_2, [1.01])
+
+
+def reference_greedy(pi, opinions, costs, threshold):
+    """The per-class greedy loop, one scalar step at a time: (payments, critical, total)."""
+    nk = len(pi)
+    payments = np.zeros(nk)
+    if np.dot(pi, opinions) >= threshold:
+        return payments, None, 0.0
+    order = _influence_order(pi, costs)
+    paid_mass = 0.0
+    rest = float(np.dot(pi[order], opinions[order]))
+    critical_pos = nk - 1
+    for pos, j in enumerate(order):
+        before_paid, before_rest = paid_mass, rest
+        paid_mass += pi[j]
+        rest -= pi[j] * opinions[j]
+        if paid_mass + rest >= threshold:
+            critical_pos = pos
+            paid_mass, rest = before_paid, before_rest
+            break
+    else:
+        paid_mass -= pi[order[-1]]
+        rest += pi[order[-1]] * opinions[order[-1]]
+    for pos in range(critical_pos):
+        j = order[pos]
+        payments[j] = costs[j] * (1.0 - opinions[j])
+    s = order[critical_pos]
+    top_up = (costs[s] / pi[s]) * (threshold - paid_mass - rest)
+    payments[s] = min(max(top_up, 0.0), costs[s] * (1.0 - opinions[s]))
+    return payments, s, float(payments.sum())
+
+
+def tie_heavy_stack(rng, count, m):
+    """Classes whose pi, opinions and costs come from small pools, so that
+    pi/c ratios tie and greedy prefixes land exactly on the threshold."""
+    pi = rng.choice([1.0, 2.0, 3.0, 4.0], (count, m))
+    pi /= pi.sum(axis=1, keepdims=True)
+    opinions = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], (count, m))
+    costs = rng.choice([1.0, 2.0, 4.0], (count, m))
+    return pi, opinions, costs
+
+
+def random_stack(rng, count, m):
+    pi = rng.uniform(0.05, 1.0, (count, m))
+    pi /= pi.sum(axis=1, keepdims=True)
+    return pi, rng.uniform(0.0, 1.0, (count, m)), rng.uniform(0.5, 10.0, (count, m))
+
+
+def test_stacked_pricing_matches_the_scalar_loop_bitwise():
+    rng = np.random.default_rng(131)
+    for m in range(1, 8):
+        for threshold in (0.25, 0.5, 0.6, 0.75, 0.9, 1.0, float(rng.uniform(0.05, 1.0))):
+            for stack in (tie_heavy_stack, random_stack):
+                pi, opinions, costs = stack(rng, 40, m)
+                payments, critical = min_budget_stack(pi, opinions, costs, threshold)
+                for r in range(len(pi)):
+                    ref_pay, ref_crit, ref_total = reference_greedy(pi[r], opinions[r], costs[r], threshold)
+                    assert payments[r].tobytes() == ref_pay.tobytes()
+                    assert (None if critical[r] < 0 else critical[r]) == ref_crit
+                    single = min_budget_for_class(pi[r], opinions[r], costs[r], threshold)
+                    assert single.payments.tobytes() == ref_pay.tobytes()
+                    assert single.critical_item == ref_crit
+                    assert single.total.hex() == ref_total.hex()

@@ -204,3 +204,48 @@ def test_node_limit_environment(capsys, monkeypatch):
     code, out = run(capsys, "solve", PAPER, "--budget", "309")
     assert code == 0
     assert json.loads(out)["optimality"] == "heuristic"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field, code", [
+    ("opinion", "OpinionOutOfRange"), ("cost", "NonFiniteCost"), ("weight", "NonFiniteWeight"),
+    ("threshold", "ThresholdOutOfRange"), ("budget", "NonFiniteBudget"),
+])
+def test_nonfinite_number_exit_1(capsys, tmp_path, field, code, value):
+    doc = json.loads(PAPER_EXAMPLE.read_text())
+    if field == "opinion":
+        doc["opinions"][4] = value
+    elif field == "cost":
+        doc["costs"][4] = value
+    elif field == "weight":
+        doc["edges"][4]["w"] = value
+    else:
+        doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))  # json writes NaN / Infinity, and reads them back
+    for command in ("validate", "solve"):
+        status, out = run(capsys, command, str(bad))
+        payload = json.loads(out)
+        assert status == 1
+        assert payload["error"] == "invalid_instance"
+        assert [v["code"] for v in payload["violations"]] == [code]
+
+
+@pytest.mark.parametrize("amount", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_simulate_rejects_nonfinite_payment(capsys, tmp_path, amount):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps({"payments": {"j": amount}}))
+    code, out = run(capsys, "simulate", PAPER, "--plan", str(plan_path))
+    assert code == 1
+    assert json.loads(out)["error"] == "parse_error"
+
+
+def test_repeated_main_calls_reuse_one_parser(capsys):
+    from opinionbudget import cli
+
+    first = run(capsys, "analyze", PAPER)
+    parser = cli._parser()
+    assert run(capsys, "analyze", PAPER) == first
+    assert cli._parser() is parser
+    assert run(capsys, "min-class-budget", PAPER, "--class", "2")[0] == 0
+    assert run(capsys, "analyze", PAPER) == first

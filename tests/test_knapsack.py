@@ -279,13 +279,13 @@ def test_fptas_matches_reference_on_scaled_values():
 
 def test_solve_by_classes_prices_each_class_once(monkeypatch):
     calls = []
-    price = knapsack.min_budget_for_class
+    price = knapsack.min_budget_stack
 
-    def counting(*args):
-        calls.append(1)
-        return price(*args)
+    def counting(pi, *args):
+        calls.append(len(pi))
+        return price(pi, *args)
 
-    monkeypatch.setattr(knapsack, "min_budget_for_class", counting)
+    monkeypatch.setattr(knapsack, "min_budget_stack", counting)
     rng = np.random.default_rng(107)
     for _ in range(20):
         inst = no_transient_instance(rng)
@@ -294,7 +294,8 @@ def test_solve_by_classes_prices_each_class_once(monkeypatch):
         calls.clear()
         for epsilon in (None, 0.1):
             solve_by_classes(inst, an, epsilon=epsilon)
-        assert len(calls) == 2 * len(an.decomposition.classes)
+        assert len(calls) == 2 * len(set(an.decomposition.sizes))
+        assert sum(calls) == 2 * len(an.decomposition.classes)
 
 
 def long_tie_lists(rng, count):

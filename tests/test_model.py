@@ -344,3 +344,47 @@ def test_first_faulty_edge_wins(first, second):
         with pytest.raises(ParseError) as e:
             validate(raw)
         assert str(e.value) == f"{SCHEMA_FAULTS[early][1]} (field: edges)"
+
+
+NAN, INF = float("nan"), float("inf")
+#: field -> (edit of tiny_raw putting ``value`` in it, violation code)
+NONFINITE_FIELDS = {
+    "opinion": (lambda raw, v: raw["opinions"].__setitem__(0, v), "OpinionOutOfRange"),
+    "cost": (lambda raw, v: raw["costs"].__setitem__(0, v), "NonFiniteCost"),
+    "weight": (lambda raw, v: raw["edges"][1].__setitem__("w", v), "NonFiniteWeight"),
+    "threshold": (lambda raw, v: raw.__setitem__("threshold", v), "ThresholdOutOfRange"),
+    "budget": (lambda raw, v: raw.__setitem__("budget", v), "NonFiniteBudget"),
+}
+
+
+@pytest.mark.parametrize("value", [NAN, INF], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", NONFINITE_FIELDS)
+def test_nonfinite_number_is_a_violation(field, value):
+    edit, code = NONFINITE_FIELDS[field]
+    raw = tiny_raw()
+    edit(raw, value)
+    with pytest.raises(InvalidInstance) as e:
+        validate(raw)
+    assert codes(e) == {code}
+
+
+def test_nonfinite_weights_keep_edge_order():
+    raw = tiny_raw()
+    raw["edges"][1]["w"] = NAN
+    raw["edges"][0]["w"] = -INF
+    raw["edges"][2]["w"] = INF
+    with pytest.raises(InvalidInstance) as e:
+        validate(raw)
+    assert [v.code for v in e.value.violations] == [
+        "NegativeWeight", "NonFiniteWeight", "NonFiniteWeight", "NoSelfConfidence", "NonStochasticRow",
+    ]
+    assert e.value.violations[1].message == "edge 'a' -> 'b' has non-finite weight nan"
+
+
+@pytest.mark.parametrize("amount", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_load_payments_rejects_nonfinite_amount(tmp_path, paper_instance, amount):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"payments": {"a": amount}}))
+    with pytest.raises(ParseError) as e:
+        load_payments(path, paper_instance)
+    assert e.value.field == "payments"
