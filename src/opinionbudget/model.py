@@ -11,7 +11,7 @@ the row-stochastic confidence matrix derived from the edge weights.
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -199,10 +199,11 @@ def _edge_columns(edges: list, index: dict) -> tuple[np.ndarray, np.ndarray, np.
     return src, dst, np.array(w, dtype=float)
 
 
-def _check_schema(raw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _check_schema(raw) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
     """Shape-level checks, run first by :func:`validate` (so also by :func:`load_instance`).
 
-    Returns the edge columns of :func:`_edge_columns`.
+    Returns the agent index (name -> position) and the edge columns of
+    :func:`_edge_columns`.
     """
     if not isinstance(raw, dict):
         raise ParseError("instance document must be a JSON object")
@@ -226,14 +227,15 @@ def _check_schema(raw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise ParseError("entries must be numbers", field=key)
     if not isinstance(raw["edges"], list):
         raise ParseError("edges must be an array", field="edges")
-    columns = _edge_columns(raw["edges"], {a: i for i, a in enumerate(agents)})
+    index = {a: i for i, a in enumerate(agents)}
+    columns = _edge_columns(raw["edges"], index)
     for key in ("threshold", "budget"):
         if not _numbers((raw[key],)):
             raise ParseError("must be a number", field=key)
     unit = raw.get("cost_unit", "per_unit")
     if unit not in ("per_unit", "per_0.1"):
         raise ParseError(f"unknown cost_unit {unit!r}", field="cost_unit")
-    return columns
+    return (index, *columns)
 
 
 def _nonfinite(x):
@@ -251,7 +253,7 @@ def validate(raw: dict) -> Instance:
     the threshold.  Every check is one array mask; only the violations
     found are built one by one.
     """
-    src, dst, w = _check_schema(raw)
+    index, src, dst, w = _check_schema(raw)
     agents = tuple(raw["agents"])
     n = len(agents)
     opinions = np.asarray(raw["opinions"], dtype=float)
@@ -271,13 +273,11 @@ def validate(raw: dict) -> Instance:
             violations.append(Violation("NegativeWeight", a, f"edge {a!r} -> {b!r} has negative weight {v}"))
 
     positive = w > 0.0
-    src, dst, w = src[positive], dst[positive], w[positive]
-    weights = dict(zip(zip(src.tolist(), dst.tolist()), w.tolist()))
     # bincount adds each row's weights in edge order
-    row_sums = np.bincount(src, weights=w, minlength=n)
+    empty_row = np.bincount(src[positive], weights=w[positive], minlength=n) <= 0.0
     no_self = np.ones(n, dtype=bool)
-    no_self[src[src == dst]] = False
-    empty_row = row_sums <= 0.0
+    no_self[src[positive & (src == dst)]] = False
+    del src, dst, w  # dropped before the weights dict is built, to keep the peak down
     bad_opinion = ~((0.0 <= opinions) & (opinions <= 1.0))
     bad_cost, nonfinite_cost = costs <= 0.0, _nonfinite(costs)
     for i in np.flatnonzero(no_self | empty_row | bad_opinion | bad_cost | nonfinite_cost).tolist():
@@ -307,6 +307,12 @@ def validate(raw: dict) -> Instance:
     if violations:
         raise InvalidInstance(violations)
 
+    # Keys and values are the file's own objects (the index's ints, the
+    # parsed floats), so the weights hold no per-edge copies.
+    keep = positive.tolist()
+    edges = raw["edges"]
+    ends = (compress(map(index.__getitem__, map(itemgetter(end), edges)), keep) for end in ("from", "to"))
+    weights = dict(zip(zip(*ends), map(float, compress(map(itemgetter("w"), edges), keep))))
     opinions.flags.writeable = False
     costs.flags.writeable = False
     return Instance(agents, weights, opinions, costs, threshold, budget)
@@ -315,9 +321,10 @@ def validate(raw: dict) -> Instance:
 def confidence_matrix(instance: Instance) -> ConfidenceMatrix:
     """Row-normalize the weights: ``A[i, j] = w_ij / W_i``."""
     n, count = instance.n, len(instance.weights)
-    ij = np.fromiter(chain.from_iterable(instance.weights), np.intp, 2 * count).reshape(count, 2)
+    ij = np.fromiter(chain.from_iterable(instance.weights), np.intp, 2 * count)
     w = np.zeros((n, n))
-    w[ij[:, 0], ij[:, 1]] = np.fromiter(instance.weights.values(), float, count)
+    w.ravel()[ij[0::2] * n + ij[1::2]] = np.fromiter(instance.weights.values(), float, count)
+    del ij  # not held while the row sums and the matrix checks allocate
     w /= w.sum(axis=1, keepdims=True)
     return ConfidenceMatrix(w)
 

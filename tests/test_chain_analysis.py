@@ -9,6 +9,7 @@ from opinionbudget.chain_analysis import (
     analyze,
     asymptotic_opinions,
     consensus_opinion,
+    consensus_stack,
     evaluate_plan,
     hitting_probabilities,
     iterate_dynamics,
@@ -312,3 +313,11 @@ def test_batched_consensi_and_limits_match_per_class_products_bitwise():
             redone = analyze(cm, d, x)
             assert np.array(redone.consensus).tobytes() == np.array(cons).tobytes()
             assert redone.asymptotic.tobytes() == limits.tobytes()
+
+
+def test_consensus_stack_matches_a_dot_per_row_bitwise():
+    rng = np.random.default_rng(127)
+    for m in [*range(1, 33), 47, 64, 100, 129, 200]:
+        pi, x = rng.uniform(0.0, 1.0, (2, 30, m))
+        stacked = consensus_stack(pi, x)
+        assert stacked.tobytes() == np.array([np.dot(p, v) for p, v in zip(pi, x)]).tobytes()
