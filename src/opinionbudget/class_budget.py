@@ -93,18 +93,18 @@ def min_budget_stack(
     rest = consensus_stack(p, x)
     crit = np.full(need.size, m - 1)
     crit_paid, crit_rest = np.empty(need.size), np.empty(need.size)
-    open_ = np.ones(need.size, dtype=bool)
+    searching = np.ones(need.size, dtype=bool)
     for pos in range(m):
         before_paid, before_rest = paid, rest
         paid = paid + p[:, pos]
         rest = rest - p[:, pos] * x[:, pos]
-        hit = open_ & (paid + rest >= threshold)
+        hit = searching & (paid + rest >= threshold)
         crit[hit] = pos
         crit_paid[hit], crit_rest[hit] = before_paid[hit], before_rest[hit]
-        open_ &= ~hit
+        searching &= ~hit
     # float undershoot with threshold == 1: treat the last as critical
-    crit_paid[open_] = paid[open_] - p[open_, -1]
-    crit_rest[open_] = rest[open_] + p[open_, -1] * x[open_, -1]
+    crit_paid[searching] = paid[searching] - p[searching, -1]
+    crit_rest[searching] = rest[searching] + p[searching, -1] * x[searching, -1]
 
     cap = c * (1.0 - x)
     paid_sorted = np.where(np.arange(m) < crit[:, None], cap, 0.0)

@@ -9,7 +9,6 @@ from opinionbudget.knapsack import solve_by_classes
 from opinionbudget.model import confidence_matrix, load_instance, save_instance, validate
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
-unit = st.floats(0.0, 1.0)
 
 
 @st.composite
@@ -27,7 +26,7 @@ def no_transient_raw(draw):
     return {
         "agents": agents,
         "edges": edges,
-        "opinions": draw(st.lists(unit, min_size=n, max_size=n)),
+        "opinions": draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)),
         "costs": draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n)),
         "threshold": draw(st.floats(0.05, 1.0)),
         "budget": draw(st.floats(0.0, 60.0)),
