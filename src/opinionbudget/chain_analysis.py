@@ -72,12 +72,16 @@ def stationary_distribution(class_matrix: np.ndarray) -> np.ndarray:
     return _stationary_stack(class_matrix[None])[0]
 
 
-def _class_stationary(cm: ConfidenceMatrix, decomposition: Decomposition) -> tuple[np.ndarray, ...]:
-    """Stationary vector of every ergodic class, one stacked solve per class size."""
-    pi: dict[int, np.ndarray] = {}
-    for ks, _ in decomposition.groups:
-        pi.update(zip(ks.tolist(), _stationary_stack(class_blocks(cm, decomposition, ks))))
-    return tuple(pi[k] for k in range(len(decomposition.classes)))
+def _class_stationary(cm: ConfidenceMatrix, decomposition: Decomposition) -> np.ndarray:
+    """Each agent's mass in its class's stationary vector, one stacked solve per class size.
+
+    Transient agents carry no mass.  The returned array is read-only.
+    """
+    pi = np.zeros(cm.n)
+    for ks, members in decomposition.groups:
+        pi[members] = _stationary_stack(class_blocks(cm, ks, members))
+    pi.flags.writeable = False
+    return pi
 
 
 def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition) -> np.ndarray:
@@ -91,8 +95,8 @@ def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition) ->
     """
     a = cm.matrix
     h = np.zeros((len(decomposition.classes), cm.n))
-    recurrent = [i for i, k in enumerate(decomposition.class_of) if k is not None]
-    h[[decomposition.class_of[i] for i in recurrent], recurrent] = 1.0
+    recurrent = np.flatnonzero(decomposition.class_of >= 0)
+    h[decomposition.class_of[recurrent], recurrent] = 1.0
     if decomposition.transient:
         t = np.asarray(decomposition.transient)
         system = np.eye(len(t)) - a[np.ix_(t, t)]
@@ -130,17 +134,20 @@ class ChainAnalysis:
 
     ``pi`` and ``hitting`` depend only on the matrix; ``consensus`` and
     ``asymptotic`` refer to the opinions the analysis was built with.
-    ``hitting[k]`` is class ``k``'s row of :func:`hitting_probabilities`.
+    ``pi[i]`` is agent ``i``'s mass in its class's stationary vector (0 for
+    a transient agent), so ``pi[members]`` is one class's vector.
+    ``consensus[k]`` is class ``k``'s consensus and ``hitting[k]`` its row
+    of :func:`hitting_probabilities`.  All arrays are read-only.
     """
 
     decomposition: Decomposition
-    pi: tuple[np.ndarray, ...]
+    pi: np.ndarray
     hitting: np.ndarray
-    consensus: tuple[float, ...]
+    consensus: np.ndarray
     asymptotic: np.ndarray
 
 
-def _limits(decomposition: Decomposition, pi, hitting, opinions) -> tuple[tuple[float, ...], np.ndarray]:
+def _limits(decomposition: Decomposition, pi, hitting, opinions) -> tuple[np.ndarray, np.ndarray]:
     """Class consensi and per-agent limit opinions for one opinion vector.
 
     The consensi take one :func:`consensus_stack` per class size.  Without
@@ -150,9 +157,9 @@ def _limits(decomposition: Decomposition, pi, hitting, opinions) -> tuple[tuple[
     """
     cons = np.empty(len(decomposition.classes))
     for ks, members in decomposition.groups:
-        cons[ks] = consensus_stack(np.array([pi[k] for k in ks.tolist()]), opinions[members])
-    limits = cons @ hitting if decomposition.transient else cons[np.array(decomposition.class_of)]
-    return tuple(cons.tolist()), limits
+        cons[ks] = consensus_stack(pi[members], opinions[members])
+    limits = cons @ hitting if decomposition.transient else cons[decomposition.class_of]
+    return cons, limits
 
 
 def asymptotic_opinions(analysis: ChainAnalysis, opinions: np.ndarray) -> np.ndarray:
@@ -172,7 +179,7 @@ def analyze(cm: ConfidenceMatrix, decomposition: Decomposition, opinions: np.nda
     if worst > OPINION_TOL:
         raise SingularSystem(f"hitting probabilities do not sum to 1 (off by {worst:.3e})")
     cons, x = _limits(decomposition, pi, hitting, opinions)
-    x.flags.writeable = False
+    cons.flags.writeable = x.flags.writeable = False
     return ChainAnalysis(decomposition, pi, hitting, cons, x)
 
 
@@ -188,8 +195,8 @@ def iterate_dynamics(
     Returns the final vector and the number of steps taken; raises
     :class:`NonConvergence` when the step limit is reached first.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     a = cm.matrix
     x = np.asarray(opinions, dtype=float).copy()
     change = np.inf

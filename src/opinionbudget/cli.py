@@ -57,17 +57,15 @@ def _load(args):
     return instance, cm
 
 
-def _analysis(instance, cm):
-    return chain_analysis.analyze(cm, decompose(cm), instance.true_opinions)
+def _analyzed(args):
+    """The instance and its chain analysis; the dense matrix is not held past the analysis."""
+    instance, cm = _load(args)
+    return instance, chain_analysis.analyze(cm, decompose(cm), instance.true_opinions)
 
 
-def _plan_doc(instance, solution, mode):
-    doc = solution.plan.to_dict()
-    doc["supporter_count"] = solution.supporter_count
-    doc["optimality"] = solution.optimality
-    doc["node_count"] = solution.node_count
-    doc["mode"] = mode
-    return doc
+def _plan_doc(plan, supporter_count, mode, **fields):
+    """A solve's output: the plan, its supporter count, the mode's own fields, then the mode."""
+    return {**plan.to_dict(), "supporter_count": supporter_count, **fields, "mode": mode}
 
 
 def _cmd_validate(args) -> int:
@@ -87,13 +85,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    instance, cm = _load(args)
-    an = _analysis(instance, cm)
+    instance, an = _analyzed(args)
     _emit(_json({
         "agents": list(instance.agents),
         "transient": [instance.agents[i] for i in an.decomposition.transient],
         "classes": [[instance.agents[i] for i in members] for members in an.decomposition.classes],
-        "pi": [[float(v) for v in vec] for vec in an.pi],
+        "pi": [[float(v) for v in an.pi[list(members)]] for members in an.decomposition.classes],
         "hitting": [[float(v) for v in vec] for vec in an.hitting],
         "consensus": [float(v) for v in an.consensus],
         "asymptotic": [float(v) for v in an.asymptotic],
@@ -102,8 +99,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_min_class_budget(args) -> int:
-    instance, cm = _load(args)
-    an = _analysis(instance, cm)
+    instance, an = _analyzed(args)
     k = args.klass - 1
     if not 0 <= k < len(an.decomposition.classes):
         raise model.ParseError(
@@ -111,7 +107,7 @@ def _cmd_min_class_budget(args) -> int:
         )
     members = np.asarray(an.decomposition.classes[k])
     result = class_budget.min_budget_for_class(
-        an.pi[k], instance.true_opinions[members], instance.costs[members], instance.threshold
+        an.pi[members], instance.true_opinions[members], instance.costs[members], instance.threshold
     )
     critical = None
     if result.critical_item is not None:
@@ -130,8 +126,7 @@ def _cmd_min_class_budget(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance, cm = _load(args)
-    an = _analysis(instance, cm)
+    instance, an = _analyzed(args)
     budget = instance.budget if args.budget is None else args.budget
     mode = args.mode
     if mode == "auto":
@@ -140,15 +135,13 @@ def _cmd_solve(args) -> int:
         plan, selection = knapsack.solve_by_classes(
             instance, an, budget=budget, epsilon=args.epsilon
         )
-        doc = plan.to_dict()
-        doc["supporter_count"] = len(plan.supporters)
-        doc["selected_classes"] = list(selection.selected)
-        doc["mode"] = "knapsack"
-        _emit(_json(doc), args)
+        _emit(_json(_plan_doc(plan, len(plan.supporters), "knapsack",
+                              selected_classes=list(selection.selected))), args)
         return 0
     mi = milp.build_milp(instance, an, budget=budget)
     solution = milp.solve_milp(mi, round_dollars=not args.exact_payments)
-    _emit(_json(_plan_doc(instance, solution, "milp")), args)
+    _emit(_json(_plan_doc(solution.plan, solution.supporter_count, "milp",
+                          optimality=solution.optimality, node_count=solution.node_count)), args)
     return 0
 
 

@@ -18,11 +18,15 @@ from .model import ConfidenceMatrix, ROW_SUM_TOL
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Partition of agent indices into transient states and ergodic classes."""
+    """Partition of agent indices into transient states and ergodic classes.
+
+    ``class_of`` is a read-only ``intp`` array giving each agent's class
+    index, or -1 for a transient agent.
+    """
 
     transient: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int | None, ...]
+    class_of: np.ndarray
 
     @property
     def n(self) -> int:
@@ -138,21 +142,20 @@ def decompose(cm: ConfidenceMatrix) -> Decomposition:
             classes.append(tuple(sorted(comp)))
     classes.sort(key=lambda members: members[0])
 
-    class_of: list[int | None] = [None] * n
-    for k, members in enumerate(classes):
-        for v in members:
-            class_of[v] = k
-    return Decomposition(tuple(sorted(transient)), tuple(classes), tuple(class_of))
+    class_of = np.full(n, -1, dtype=np.intp)
+    class_of[np.concatenate(classes)] = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
+    class_of.flags.writeable = False
+    return Decomposition(tuple(sorted(transient)), tuple(classes), class_of)
 
 
-def class_blocks(cm: ConfidenceMatrix, decomposition: Decomposition, ks) -> np.ndarray:
+def class_blocks(cm: ConfidenceMatrix, ks, members: np.ndarray) -> np.ndarray:
     """Dense restrictions of the confidence matrix to ergodic classes ``ks``.
 
-    The classes must share one size ``m``; the result is a ``(len(ks), m,
-    m)`` stack gathered with one fancy index.  Class closure makes every
-    block row-stochastic; this is asserted rather than assumed.
+    ``members`` holds one class's members per row, as in
+    :attr:`Decomposition.groups`; the result is a ``(len(ks), m, m)``
+    stack gathered with one fancy index.  Class closure makes every block
+    row-stochastic; this is asserted rather than assumed.
     """
-    members = np.array([decomposition.classes[k] for k in ks])
     blocks = cm.matrix[members[:, :, None], members[:, None, :]]
     row_err = np.max(np.abs(blocks.sum(axis=2) - 1.0), axis=1)
     bad = np.flatnonzero(row_err > ROW_SUM_TOL)
@@ -164,4 +167,4 @@ def class_blocks(cm: ConfidenceMatrix, decomposition: Decomposition, ks) -> np.n
 
 def submatrix(cm: ConfidenceMatrix, decomposition: Decomposition, k: int) -> np.ndarray:
     """Dense restriction of the confidence matrix to ergodic class ``k``."""
-    return class_blocks(cm, decomposition, [k])[0]
+    return class_blocks(cm, [k], np.array([decomposition.classes[k]]))[0]

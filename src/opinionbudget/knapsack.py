@@ -170,8 +170,7 @@ def _priced_classes(instance: Instance, analysis: ChainAnalysis) -> tuple[list[K
     payments = np.zeros(instance.n)
     for ks, members in d.groups:
         pay, _ = min_budget_stack(
-            np.array([analysis.pi[k] for k in ks.tolist()]),
-            instance.true_opinions[members], instance.costs[members], instance.threshold,
+            analysis.pi[members], instance.true_opinions[members], instance.costs[members], instance.threshold,
         )
         payments[members] = pay
         totals[ks] = pay.sum(axis=1)
@@ -194,17 +193,20 @@ def solve_by_classes(
 
     Exact DP by default; pass ``epsilon`` for the FPTAS.  Raises
     :class:`TransientsPresent` when the decomposition has transient
-    states, where class selection alone is not exact.
+    states, where class selection alone is not exact, and ``ValueError``
+    on a negative or non-finite budget.
     """
     if analysis.decomposition.transient:
         raise TransientsPresent(
             "instance has transient states; class selection is not exact, use the MILP solver"
         )
     b = instance.budget if budget is None else float(budget)
+    if not 0.0 <= b < np.inf:
+        raise ValueError(f"budget {b} must be nonnegative and finite")
     items, class_payments = _priced_classes(instance, analysis)
     solution = knapsack_exact(items, b) if epsilon is None else knapsack_fptas(items, b, epsilon)
     taken = np.zeros(len(items), dtype=bool)
     taken[list(solution.selected)] = True
-    payments = np.where(taken[np.array(analysis.decomposition.class_of)], class_payments, 0.0)
+    payments = np.where(taken[analysis.decomposition.class_of], class_payments, 0.0)
     plan = evaluate_plan(instance, analysis, payments, budget=b)
     return plan, solution

@@ -43,17 +43,17 @@ class TooLarge(ValueError):
 class MilpInstance:
     """Data of the linearized supporter problem for one budget.
 
-    ``pay_agents`` are the recurrent agents (the only ones whose payments
-    matter), ``caps`` their maximum useful payments, and ``rates[i, a]``
-    the increase of agent ``i``'s limit opinion per dollar paid to
-    ``pay_agents[a]``.  The remaining figures are read from the instance
-    and the analysis.
+    ``pay_agents`` are the recurrent agents in ascending order (the only
+    ones whose payments matter), ``caps`` their maximum useful payments,
+    and ``rates[i, a]`` the increase of agent ``i``'s limit opinion per
+    dollar paid to ``pay_agents[a]``; all three are read-only arrays.  The
+    remaining figures are read from the instance and the analysis.
     """
 
     instance: Instance
     analysis: ChainAnalysis
     budget: float
-    pay_agents: tuple[int, ...]
+    pay_agents: np.ndarray
     caps: np.ndarray
     rates: np.ndarray
 
@@ -103,21 +103,19 @@ class SweepCurve:
 def build_milp(instance: Instance, analysis: ChainAnalysis, budget: float | None = None) -> MilpInstance:
     """Assemble the linearized problem data from a completed chain analysis.
 
-    A dollar to agent ``a`` of class ``k`` lifts ``i``'s limit by ``hitting[k, i] * pi_k[a] / c_a``.
+    A dollar to agent ``a`` of class ``k`` lifts ``i``'s limit by ``hitting[k, i] * pi[a] / c_a``.
+    Raises ``ValueError`` on a negative or non-finite budget.
     """
-    d = analysis.decomposition
+    class_of = analysis.decomposition.class_of
     b = instance.budget if budget is None else float(budget)
-    members = np.concatenate(d.classes)  # recurrent agents, class by class
-    klass = np.full(instance.n, -1)
-    klass[members] = np.repeat(np.arange(len(d.classes)), d.sizes)
-    mass = np.zeros(instance.n)
-    mass[members] = np.concatenate(analysis.pi)
-    pay = np.flatnonzero(klass >= 0)
+    if not 0.0 <= b < np.inf:
+        raise ValueError(f"budget {b} must be nonnegative and finite")
+    pay = np.flatnonzero(class_of >= 0)
     caps = instance.costs[pay] * (1.0 - instance.true_opinions[pay])
-    rates = np.ascontiguousarray(analysis.hitting[klass[pay]].T) * mass[pay] / instance.costs[pay]
-    caps.flags.writeable = False
-    rates.flags.writeable = False
-    return MilpInstance(instance, analysis, b, tuple(pay.tolist()), caps, rates)
+    rates = np.ascontiguousarray(analysis.hitting[class_of[pay]].T) * analysis.pi[pay] / instance.costs[pay]
+    for a in (pay, caps, rates):
+        a.flags.writeable = False
+    return MilpInstance(instance, analysis, b, pay, caps, rates)
 
 
 def _units(decomposition: Decomposition) -> list[tuple[int, ...]]:
@@ -198,9 +196,9 @@ def _finish(mi: MilpInstance, pay_q: np.ndarray, nodes: int, proven: bool,
             round_dollars: bool, certified: int = 0) -> MilpSolution:
     payments = np.zeros(mi.instance.n)
     # simplex residue below the spend resolution is not a payment
-    payments[list(mi.pay_agents)] = np.where(pay_q > SPEND_TOL, pay_q, 0.0)
+    payments[mi.pay_agents] = np.where(pay_q > SPEND_TOL, pay_q, 0.0)
     caps_full = np.zeros(mi.instance.n)
-    caps_full[list(mi.pay_agents)] = mi.caps
+    caps_full[mi.pay_agents] = mi.caps
     if round_dollars:
         payments = _round_payments_up(payments, caps_full, mi.budget)
     plan = evaluate_plan(mi.instance, mi.analysis, payments, budget=mi.budget)
@@ -333,8 +331,6 @@ def budget_sweep(instance: Instance, budgets, node_limit: int | None = None,
                  round_dollars: bool = True) -> SweepCurve:
     """Solve the supporter problem along an ascending budget grid."""
     values = [float(b) for b in budgets]
-    if any(b < 0 for b in values):
-        raise ValueError("budgets must be nonnegative")
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
         raise ValueError("budgets must be sorted ascending")
     cm = confidence_matrix(instance)

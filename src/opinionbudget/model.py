@@ -11,7 +11,7 @@ the row-stochastic confidence matrix derived from the edge weights.
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -65,9 +65,10 @@ class Instance:
     ----------
     agents : tuple of str
         Agent identifiers; internal indices follow this order.
-    weights : dict
-        Sparse map ``(i, j) -> w_ij`` of strictly positive confidence
-        weights, keyed by agent indices.
+    sources, targets, weights : ndarray
+        Edge columns: edge ``e`` gives agent ``sources[e]`` confidence
+        ``weights[e] > 0`` in agent ``targets[e]``.  Only positive-weight
+        edges are kept, in file order; all three arrays are read-only.
     true_opinions : ndarray
         True opinions in [0, 1], one per agent.
     costs : ndarray
@@ -79,7 +80,9 @@ class Instance:
     """
 
     agents: tuple[str, ...]
-    weights: dict[tuple[int, int], float]
+    sources: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
     true_opinions: np.ndarray
     costs: np.ndarray
     threshold: float
@@ -161,7 +164,7 @@ def _first_edge_fault(edges, known) -> ParseError | None:
     for e in edges:
         if not isinstance(e, dict) or not {"from", "to", "w"} <= set(e):
             return ParseError("each edge needs 'from', 'to' and 'w'", field="edges")
-        if e["from"] not in known or e["to"] not in known:
+        if not all(isinstance(end, str) and end in known for end in (e["from"], e["to"])):
             return ParseError(f"edge endpoint not in agent list: {e['from']!r} -> {e['to']!r}", field="edges")
         if not _numbers((e["w"],)):
             return ParseError("edge weight must be a number", field="edges")
@@ -199,11 +202,10 @@ def _edge_columns(edges: list, index: dict) -> tuple[np.ndarray, np.ndarray, np.
     return src, dst, np.array(w, dtype=float)
 
 
-def _check_schema(raw) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
+def _check_schema(raw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shape-level checks, run first by :func:`validate` (so also by :func:`load_instance`).
 
-    Returns the agent index (name -> position) and the edge columns of
-    :func:`_edge_columns`.
+    Returns the edge columns of :func:`_edge_columns`.
     """
     if not isinstance(raw, dict):
         raise ParseError("instance document must be a JSON object")
@@ -227,15 +229,14 @@ def _check_schema(raw) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
             raise ParseError("entries must be numbers", field=key)
     if not isinstance(raw["edges"], list):
         raise ParseError("edges must be an array", field="edges")
-    index = {a: i for i, a in enumerate(agents)}
-    columns = _edge_columns(raw["edges"], index)
+    columns = _edge_columns(raw["edges"], {a: i for i, a in enumerate(agents)})
     for key in ("threshold", "budget"):
         if not _numbers((raw[key],)):
             raise ParseError("must be a number", field=key)
     unit = raw.get("cost_unit", "per_unit")
     if unit not in ("per_unit", "per_0.1"):
         raise ParseError(f"unknown cost_unit {unit!r}", field="cost_unit")
-    return (index, *columns)
+    return columns
 
 
 def _nonfinite(x):
@@ -253,7 +254,7 @@ def validate(raw: dict) -> Instance:
     the threshold.  Every check is one array mask; only the violations
     found are built one by one.
     """
-    index, src, dst, w = _check_schema(raw)
+    src, dst, w = _check_schema(raw)
     agents = tuple(raw["agents"])
     n = len(agents)
     opinions = np.asarray(raw["opinions"], dtype=float)
@@ -273,11 +274,11 @@ def validate(raw: dict) -> Instance:
             violations.append(Violation("NegativeWeight", a, f"edge {a!r} -> {b!r} has negative weight {v}"))
 
     positive = w > 0.0
+    src, dst, w = src[positive], dst[positive], w[positive]  # the instance's edge columns
     # bincount adds each row's weights in edge order
-    empty_row = np.bincount(src[positive], weights=w[positive], minlength=n) <= 0.0
+    empty_row = np.bincount(src, weights=w, minlength=n) <= 0.0
     no_self = np.ones(n, dtype=bool)
-    no_self[src[positive & (src == dst)]] = False
-    del src, dst, w  # dropped before the weights dict is built, to keep the peak down
+    no_self[src[src == dst]] = False
     bad_opinion = ~((0.0 <= opinions) & (opinions <= 1.0))
     bad_cost, nonfinite_cost = costs <= 0.0, _nonfinite(costs)
     for i in np.flatnonzero(no_self | empty_row | bad_opinion | bad_cost | nonfinite_cost).tolist():
@@ -307,24 +308,15 @@ def validate(raw: dict) -> Instance:
     if violations:
         raise InvalidInstance(violations)
 
-    # Keys and values are the file's own objects (the index's ints, the
-    # parsed floats), so the weights hold no per-edge copies.
-    keep = positive.tolist()
-    edges = raw["edges"]
-    ends = (compress(map(index.__getitem__, map(itemgetter(end), edges)), keep) for end in ("from", "to"))
-    weights = dict(zip(zip(*ends), map(float, compress(map(itemgetter("w"), edges), keep))))
-    opinions.flags.writeable = False
-    costs.flags.writeable = False
-    return Instance(agents, weights, opinions, costs, threshold, budget)
+    for a in (src, dst, w, opinions, costs):
+        a.flags.writeable = False
+    return Instance(agents, src, dst, w, opinions, costs, threshold, budget)
 
 
 def confidence_matrix(instance: Instance) -> ConfidenceMatrix:
     """Row-normalize the weights: ``A[i, j] = w_ij / W_i``."""
-    n, count = instance.n, len(instance.weights)
-    ij = np.fromiter(chain.from_iterable(instance.weights), np.intp, 2 * count)
-    w = np.zeros((n, n))
-    w.ravel()[ij[0::2] * n + ij[1::2]] = np.fromiter(instance.weights.values(), float, count)
-    del ij  # not held while the row sums and the matrix checks allocate
+    w = np.zeros((instance.n, instance.n))
+    w[instance.sources, instance.targets] = instance.weights
     w /= w.sum(axis=1, keepdims=True)
     return ConfidenceMatrix(w)
 
@@ -345,11 +337,13 @@ def load_instance(path) -> Instance:
 
 def save_instance(instance: Instance, path) -> None:
     """Write an instance back to its canonical JSON form (costs per unit)."""
+    order = np.lexsort((instance.targets, instance.sources))
+    src, dst, w = (col[order].tolist() for col in (instance.sources, instance.targets, instance.weights))
     doc = {
         "agents": list(instance.agents),
         "edges": [
-            {"from": instance.agents[i], "to": instance.agents[j], "w": w}
-            for (i, j), w in sorted(instance.weights.items())
+            {"from": instance.agents[i], "to": instance.agents[j], "w": v}
+            for i, j, v in zip(src, dst, w)
         ],
         "opinions": [float(x) for x in instance.true_opinions],
         "costs": [float(c) for c in instance.costs],

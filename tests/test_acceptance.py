@@ -176,8 +176,8 @@ def test_criterion_9_limit_matrix_identity():
             an = analyze(cm, d, inst.true_opinions)
             a_inf = np.linalg.matrix_power(cm.matrix, 10_000)
             for k, members in enumerate(d.classes):
-                for pos, j in enumerate(members):
-                    expected = an.hitting[k] * an.pi[k][pos]
+                for j in members:
+                    expected = an.hitting[k] * an.pi[j]
                     worst = max(worst, float(np.max(np.abs(a_inf[:, j] - expected))))
         assert worst <= 1e-8, f"worst entry gap {worst:.3e}"
 

@@ -240,6 +240,22 @@ def test_simulate_rejects_nonfinite_payment(capsys, tmp_path, amount):
     assert json.loads(out)["error"] == "parse_error"
 
 
+@pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+@pytest.mark.parametrize("command, flag, knapsack", [
+    ("solve", "--budget", False), ("solve", "--budget", True),
+    ("sweep", "--budgets", False), ("simulate", "--tol", False),
+], ids=["solve", "knapsack-solve", "sweep", "simulate"])
+def test_negative_or_nonfinite_number_option_exit_1(capsys, tmp_path, command, flag, knapsack, value):
+    path = PAPER
+    if knapsack:  # one agent, no transient states
+        path = tmp_path / "closed.json"
+        path.write_text(json.dumps({"agents": ["a"], "edges": [{"from": "a", "to": "a", "w": 1.0}],
+                                    "opinions": [0.2], "costs": [1.0], "threshold": 0.5, "budget": 1.0}))
+    code, out = run(capsys, command, str(path), f"{flag}={value}")
+    assert code == 1
+    assert json.loads(out)["error"] == "invalid_input"
+
+
 def test_repeated_main_calls_reuse_one_parser(capsys):
     from opinionbudget import cli
 

@@ -18,7 +18,8 @@ def test_paper_partition(paper_instance, paper_matrix, paper_decomposition):
     assert names(paper_instance, d.transient) == ["d", "e", "f", "g", "h"]
     assert [names(paper_instance, c) for c in d.classes] == [["a", "b", "c"], ["i", "j", "k", "l"]]
     assert d.sizes == (3, 4)
-    assert d.class_of[0] == 0 and d.class_of[8] == 1 and d.class_of[3] is None
+    assert d.class_of[0] == 0 and d.class_of[8] == 1 and d.class_of[3] == -1
+    assert d.class_of.dtype == np.intp and not d.class_of.flags.writeable
 
 
 def test_identity_matrix_three_singletons():
@@ -162,6 +163,6 @@ def test_partition_matches_transitive_closure():
         transient, classes = brute_force_partition(a)
         assert d.transient == transient
         assert d.classes == classes
-        assert d.class_of == tuple(
-            next((k for k, c in enumerate(classes) if i in c), None) for i in range(n)
-        )
+        assert d.class_of.tolist() == [
+            next((k for k, c in enumerate(classes) if i in c), -1) for i in range(n)
+        ]

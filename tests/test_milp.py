@@ -43,18 +43,8 @@ def test_lower_bound_paper(paper_instance, paper_analysis):
 
 
 def test_degenerate_threshold_below_lower_bound(paper_instance, paper_analysis):
-    raw_threshold = 0.2  # below L ~ 0.246: everyone is already a supporter
-    inst = validate({
-        "agents": list(paper_instance.agents),
-        "edges": [
-            {"from": paper_instance.agents[i], "to": paper_instance.agents[j], "w": w}
-            for (i, j), w in sorted(paper_instance.weights.items())
-        ],
-        "opinions": [float(x) for x in paper_instance.true_opinions],
-        "costs": [float(c) for c in paper_instance.costs],
-        "threshold": raw_threshold,
-        "budget": 0.0,
-    })
+    # threshold below L ~ 0.246: everyone is already a supporter
+    inst = replace(paper_instance, threshold=0.2, budget=0.0)
     cm = confidence_matrix(inst)
     an = analyze(cm, decompose(cm), inst.true_opinions)
     mi = build_milp(inst, an)
@@ -92,7 +82,7 @@ def test_payment_residue_is_not_reported(paper_instance, paper_analysis):
     mi = build_milp(paper_instance, paper_analysis, budget=117.0)
     j = paper_instance.index("j")
     pay = np.zeros(len(mi.pay_agents))
-    pay[mi.pay_agents.index(j)] = 117.0
+    pay[np.flatnonzero(mi.pay_agents == j)] = 117.0
     pay[0] = 7e-16
     sol = _finish(mi, pay, 0, True, round_dollars=False)
     assert nonzero_payments(paper_instance, sol.plan) == {"j": 117.0}
@@ -358,11 +348,11 @@ def test_rates_are_hitting_times_stationary_mass_per_dollar(paper_instance, pape
     for inst, an in cases:
         mi = build_milp(inst, an)
         d = an.decomposition
-        assert mi.pay_agents == tuple(sorted(i for members in d.classes for i in members))
+        assert mi.pay_agents.tolist() == sorted(i for members in d.classes for i in members)
+        assert not mi.pay_agents.flags.writeable
         expected = np.zeros((inst.n, len(mi.pay_agents)))
-        for col, a in enumerate(mi.pay_agents):
-            k = d.class_of[a]
-            expected[:, col] = an.hitting[k] * an.pi[k][d.classes[k].index(a)] / inst.costs[a]
+        for col, a in enumerate(mi.pay_agents.tolist()):
+            expected[:, col] = an.hitting[d.class_of[a]] * an.pi[a] / inst.costs[a]
             assert mi.caps[col] == inst.costs[a] * (1.0 - inst.true_opinions[a])
         assert np.array_equal(mi.rates, expected)
 

@@ -144,7 +144,9 @@ def test_instance_round_trip(tmp_path):
     save_instance(inst, path)
     back = load_instance(path)
     assert back.agents == inst.agents
-    assert back.weights == inst.weights
+    order = np.lexsort((inst.targets, inst.sources))  # the file lists edges by (source, target)
+    for column in ("sources", "targets", "weights"):
+        assert np.array_equal(getattr(back, column), getattr(inst, column)[order])
     assert np.array_equal(back.true_opinions, inst.true_opinions)
     assert np.array_equal(back.costs, inst.costs)
     assert back.threshold == inst.threshold
@@ -307,6 +309,7 @@ SCHEMA_FAULTS = {
     "non-dict edge": (_non_dict, "each edge needs 'from', 'to' and 'w'", "edges"),
     "missing key": (_drop_weight, "each edge needs 'from', 'to' and 'w'", "edges"),
     "unknown endpoint": (_edge("to", "zz"), "edge endpoint not in agent list: 'v50' -> 'zz'", "edges"),
+    "unhashable endpoint": (_edge("from", ["a"]), "edge endpoint not in agent list: ['a'] -> 'v52'", "edges"),
     "bool weight": (_edge("w", True), "edge weight must be a number", "edges"),
     "string weight": (_edge("w", "1.0"), "edge weight must be a number", "edges"),
     "duplicate edge": (_duplicate, "duplicate edge 'v80' -> 'v81'", "edges"),
