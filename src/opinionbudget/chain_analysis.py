@@ -4,8 +4,8 @@ The closed forms are all small dense linear systems: each ergodic class
 converges to the consensus ``pi . x(0)`` over its members (the stationary
 vectors of all classes of one size come from one stacked solve), and one solve
 of ``(I - Q) H_T = R`` over the transient states gives the (classes x
-agents) hitting matrix ``H`` (Kemeny & Snell's ``B = N R``), so the limit
-opinions are ``consensus @ H``.  This module also owns the price rule
+transients) hitting block ``H_T`` (Kemeny & Snell's ``B = N R``) that mixes
+the consensi into the transient agents' limits.  This module also owns the price rule
 ``x(0) = xhat + p / c`` and the supporter rule.  A plain power iteration
 of ``x <- A x`` serves as the independent oracle for every closed-form
 quantity here.
@@ -85,22 +85,21 @@ def _class_stationary(cm: ConfidenceMatrix, decomposition: Decomposition) -> np.
 
 
 def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition) -> np.ndarray:
-    """Absorption probabilities, one row per ergodic class, one column per agent.
+    """Absorption probabilities, one row per ergodic class, one column per transient agent.
 
-    Recurrent columns are exact indicators of the agent's class.  The
-    transient columns solve ``(I - Q) H_T = R`` with one factorization for
-    all classes: ``Q`` is the transient block of the matrix and ``R[t, k]``
-    the one-step mass from transient ``t`` into class ``k``.  The returned
-    array is read-only.
+    Columns follow ``decomposition.transient``; a recurrent agent is
+    absorbed by its own class (``class_of``), so it has no column.  One
+    factorization solves ``(I - Q) H_T = R`` for all classes: ``Q`` is the
+    transient block of the matrix and ``R[t, k]`` the one-step mass from
+    transient ``t`` into class ``k``.  The returned array is read-only.
     """
-    a = cm.matrix
-    h = np.zeros((len(decomposition.classes), cm.n))
-    recurrent = np.flatnonzero(decomposition.class_of >= 0)
-    h[decomposition.class_of[recurrent], recurrent] = 1.0
-    if decomposition.transient:
-        t = np.asarray(decomposition.transient)
+    t = np.asarray(decomposition.transient, dtype=np.intp)
+    ht = np.zeros((0, len(decomposition.classes)))
+    if len(t):
+        a = cm.matrix
+        indicator = (decomposition.class_of == np.arange(len(decomposition.classes))[:, None]).astype(float)
         system = np.eye(len(t)) - a[np.ix_(t, t)]
-        rhs = a[t] @ h.T
+        rhs = a[t] @ indicator.T
         try:
             ht = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError as e:
@@ -108,7 +107,7 @@ def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition) ->
         residual = np.max(np.abs(system @ ht - rhs))
         if not np.isfinite(ht).all() or residual > SOLVE_TOL:
             raise SingularSystem(f"hitting solve failed (residual {residual:.3e})")
-        h[:, t] = ht.T
+    h = np.ascontiguousarray(ht.T)
     h.flags.writeable = False
     return h
 
@@ -136,8 +135,8 @@ class ChainAnalysis:
     ``asymptotic`` refer to the opinions the analysis was built with.
     ``pi[i]`` is agent ``i``'s mass in its class's stationary vector (0 for
     a transient agent), so ``pi[members]`` is one class's vector.
-    ``consensus[k]`` is class ``k``'s consensus and ``hitting[k]`` its row
-    of :func:`hitting_probabilities`.  All arrays are read-only.
+    ``consensus[k]`` is class ``k``'s consensus and ``hitting`` the
+    block of :func:`hitting_probabilities`.  All arrays are read-only.
     """
 
     decomposition: Decomposition
@@ -150,32 +149,32 @@ class ChainAnalysis:
 def _limits(decomposition: Decomposition, pi, hitting, opinions) -> tuple[np.ndarray, np.ndarray]:
     """Class consensi and per-agent limit opinions for one opinion vector.
 
-    The consensi take one :func:`consensus_stack` per class size.  Without
-    transients every hitting column is an exact class indicator, so the
-    limits are the consensi gathered by class, the same values
-    ``consensus @ hitting`` gives.
+    The consensi take one :func:`consensus_stack` per class size; a
+    recurrent agent's limit is its class consensus, a transient agent's
+    the consensi weighted by its hitting column.
     """
     cons = np.empty(len(decomposition.classes))
     for ks, members in decomposition.groups:
         cons[ks] = consensus_stack(pi[members], opinions[members])
-    limits = cons @ hitting if decomposition.transient else cons[decomposition.class_of]
+    limits = cons[decomposition.class_of]
+    limits[list(decomposition.transient)] = cons @ hitting
     return cons, limits
 
 
 def asymptotic_opinions(analysis: ChainAnalysis, opinions: np.ndarray) -> np.ndarray:
     """Limit opinions for a new expressed-opinion vector.
 
-    Reuses the analysis' stationary vectors and hitting matrix; only the
+    Reuses the analysis' stationary vectors and hitting block; only the
     class consensi are recomputed.
     """
     return _limits(analysis.decomposition, analysis.pi, analysis.hitting, opinions)[1]
 
 
 def analyze(cm: ConfidenceMatrix, decomposition: Decomposition, opinions: np.ndarray) -> ChainAnalysis:
-    """Compute stationary vectors, the hitting matrix, consensi, and limits."""
+    """Compute stationary vectors, the hitting block, consensi, and limits."""
     pi = _class_stationary(cm, decomposition)
     hitting = hitting_probabilities(cm, decomposition)
-    worst = np.max(np.abs(hitting.sum(axis=0) - 1.0))
+    worst = np.max(np.abs(hitting.sum(axis=0) - 1.0), initial=0.0)
     if worst > OPINION_TOL:
         raise SingularSystem(f"hitting probabilities do not sum to 1 (off by {worst:.3e})")
     cons, x = _limits(decomposition, pi, hitting, opinions)
@@ -235,6 +234,14 @@ def is_supporter(limits: np.ndarray, threshold: float) -> np.ndarray:
     return limits >= threshold - OPINION_TOL
 
 
+def checked_budget(instance: Instance, budget: float | None) -> float:
+    """``budget``, or the instance's own when ``None``; ``ValueError`` unless ``0 <= b < inf``."""
+    b = instance.budget if budget is None else float(budget)
+    if not 0.0 <= b < np.inf:
+        raise ValueError(f"budget {b} must be nonnegative and finite")
+    return b
+
+
 def evaluate_plan(
     instance: Instance,
     analysis: ChainAnalysis,
@@ -245,9 +252,9 @@ def evaluate_plan(
 
     Expressed opinions come from :func:`expressed_opinions`, supporters from
     :func:`is_supporter` on the asymptotic opinions.  ``budget`` defaults to
-    the instance's own.
+    the instance's own; a negative or non-finite one raises ``ValueError``.
     """
-    b = instance.budget if budget is None else float(budget)
+    b = checked_budget(instance, budget)
     p = np.array(payments, dtype=float)
     expressed = expressed_opinions(instance, p)
     total = float(p.sum())

@@ -86,12 +86,15 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_analyze(args) -> int:
     instance, an = _analyzed(args)
+    d = an.decomposition
+    hitting = (d.class_of == np.arange(len(d.classes))[:, None]).astype(float)
+    hitting[:, list(d.transient)] = an.hitting
     _emit(_json({
         "agents": list(instance.agents),
         "transient": [instance.agents[i] for i in an.decomposition.transient],
         "classes": [[instance.agents[i] for i in members] for members in an.decomposition.classes],
         "pi": [[float(v) for v in an.pi[list(members)]] for members in an.decomposition.classes],
-        "hitting": [[float(v) for v in vec] for vec in an.hitting],
+        "hitting": [[float(v) for v in vec] for vec in hitting],
         "consensus": [float(v) for v in an.consensus],
         "asymptotic": [float(v) for v in an.asymptotic],
     }), args)
@@ -128,10 +131,8 @@ def _cmd_min_class_budget(args) -> int:
 def _cmd_solve(args) -> int:
     instance, an = _analyzed(args)
     budget = instance.budget if args.budget is None else args.budget
-    mode = args.mode
-    if mode == "auto":
-        mode = "milp" if an.decomposition.transient else "knapsack"
-    if mode == "knapsack":
+    # --epsilon asks for the class knapsack, which refuses transient states
+    if not an.decomposition.transient or args.epsilon is not None:
         plan, selection = knapsack.solve_by_classes(
             instance, an, budget=budget, epsilon=args.epsilon
         )
@@ -203,8 +204,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("solve", _cmd_solve, help="maximize supporters under the budget")
     p.add_argument("--budget", type=float, help="override the instance budget")
-    p.add_argument("--mode", choices=("auto", "knapsack", "milp"), default="auto",
-                   help="auto picks knapsack when there are no transient states")
     p.add_argument("--epsilon", type=float,
                    help="use the knapsack FPTAS with this epsilon instead of exact DP")
     p.add_argument("--exact-payments", action="store_true",

@@ -17,7 +17,7 @@ from math import floor
 
 import numpy as np
 
-from .chain_analysis import ChainAnalysis, evaluate_plan
+from .chain_analysis import ChainAnalysis, checked_budget, evaluate_plan
 # min_budget_for_class is not called here; perfbench/spans.py patches this
 # module attribute to trace single-class pricing, so it stays importable.
 from .class_budget import min_budget_for_class, min_budget_stack  # noqa: F401
@@ -200,9 +200,7 @@ def solve_by_classes(
         raise TransientsPresent(
             "instance has transient states; class selection is not exact, use the MILP solver"
         )
-    b = instance.budget if budget is None else float(budget)
-    if not 0.0 <= b < np.inf:
-        raise ValueError(f"budget {b} must be nonnegative and finite")
+    b = checked_budget(instance, budget)
     items, class_payments = _priced_classes(instance, analysis)
     solution = knapsack_exact(items, b) if epsilon is None else knapsack_fptas(items, b, epsilon)
     taken = np.zeros(len(items), dtype=bool)

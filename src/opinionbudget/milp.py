@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain_analysis import ChainAnalysis, analyze, evaluate_plan, is_supporter
+from .chain_analysis import ChainAnalysis, analyze, checked_budget, evaluate_plan, is_supporter
 from .decompose import Decomposition, decompose
+from .knapsack import solve_by_classes
 from .lp import LinearProgram, LpResult, solve_lp
 from .model import Instance, PaymentPlan, confidence_matrix
 
@@ -103,16 +104,17 @@ class SweepCurve:
 def build_milp(instance: Instance, analysis: ChainAnalysis, budget: float | None = None) -> MilpInstance:
     """Assemble the linearized problem data from a completed chain analysis.
 
-    A dollar to agent ``a`` of class ``k`` lifts ``i``'s limit by ``hitting[k, i] * pi[a] / c_a``.
+    A dollar to agent ``a`` of class ``k`` lifts a member of ``k`` by ``pi[a] / c_a``, and the
+    ``j``-th transient agent by ``hitting[k, j]`` times that.
     Raises ``ValueError`` on a negative or non-finite budget.
     """
-    class_of = analysis.decomposition.class_of
-    b = instance.budget if budget is None else float(budget)
-    if not 0.0 <= b < np.inf:
-        raise ValueError(f"budget {b} must be nonnegative and finite")
-    pay = np.flatnonzero(class_of >= 0)
+    d = analysis.decomposition
+    b = checked_budget(instance, budget)
+    pay = np.flatnonzero(d.class_of >= 0)
     caps = instance.costs[pay] * (1.0 - instance.true_opinions[pay])
-    rates = np.ascontiguousarray(analysis.hitting[class_of[pay]].T) * analysis.pi[pay] / instance.costs[pay]
+    h = (d.class_of[:, None] == d.class_of[pay]).astype(float)
+    h[list(d.transient)] = analysis.hitting[d.class_of[pay]].T
+    rates = h * analysis.pi[pay] / instance.costs[pay]
     for a in (pay, caps, rates):
         a.flags.writeable = False
     return MilpInstance(instance, analysis, b, pay, caps, rates)
@@ -253,6 +255,8 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
             node_limit = int(limit)
         except ValueError:
             raise ValueError(f"OBO_NODE_LIMIT must be an integer, got {limit!r}") from None
+    if node_limit < 1:
+        raise ValueError(f"node limit must be at least 1, got {node_limit}")
     q = len(mi.pay_agents)
     units = _units(mi.analysis.decomposition)
     reps, sizes = [u[0] for u in units], np.array([len(u) for u in units], dtype=float)
@@ -329,14 +333,18 @@ def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
 
 def budget_sweep(instance: Instance, budgets, node_limit: int | None = None,
                  round_dollars: bool = True) -> SweepCurve:
-    """Solve the supporter problem along an ascending budget grid."""
+    """Solve the supporter problem along an ascending budget grid; without transient states
+    each row is ``solve_by_classes`` at its budget (``node_limit``, ``round_dollars`` unused)."""
     values = [float(b) for b in budgets]
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
         raise ValueError("budgets must be sorted ascending")
     cm = confidence_matrix(instance)
     analysis = analyze(cm, decompose(cm), instance.true_opinions)
-    solutions = []
-    for b in values:
-        mi = build_milp(instance, analysis, budget=b)
-        solutions.append(solve_milp(mi, node_limit=node_limit, round_dollars=round_dollars))
-    return SweepCurve(tuple(values), tuple(solutions))
+    del cm  # the dense matrix is not needed past the analysis
+
+    def solve(b):
+        if analysis.decomposition.transient:
+            return solve_milp(build_milp(instance, analysis, budget=b), node_limit, round_dollars)
+        plan = solve_by_classes(instance, analysis, budget=b)[0]
+        return MilpSolution(plan, len(plan.supporters), "proven", 0)
+    return SweepCurve(tuple(values), tuple(map(solve, values)))

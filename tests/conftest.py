@@ -78,6 +78,20 @@ def random_class(rng, n_max=6):
     return e, opinions, costs
 
 
+def full_hitting(decomposition, block):
+    """The (classes x agents) hitting matrix from its (classes x transients) block.
+
+    A recurrent agent is absorbed by its own class, so its column is that
+    class's indicator; transient columns come from ``block`` in
+    ``decomposition.transient`` order.
+    """
+    h = np.zeros((len(decomposition.classes), decomposition.n))
+    for k, members in enumerate(decomposition.classes):
+        h[k, list(members)] = 1.0
+    h[:, list(decomposition.transient)] = block
+    return h
+
+
 def tiled_paper(copies):
     """Disjoint copies of the paper example, agents renamed per copy."""
     raw = json.loads(PAPER_EXAMPLE.read_text(encoding="utf-8"))

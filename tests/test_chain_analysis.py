@@ -18,7 +18,7 @@ from opinionbudget.chain_analysis import (
 from opinionbudget.decompose import Decomposition, decompose, submatrix
 from opinionbudget.model import ConfidenceMatrix, confidence_matrix
 
-from conftest import random_class, random_instance
+from conftest import full_hitting, random_class, random_instance
 
 PI_1 = np.array([20, 15, 12]) / 47
 PI_2 = np.array([5, 20, 10, 4]) / 39
@@ -54,8 +54,8 @@ def test_stationary_rejects_reducible_block():
 
 
 def test_hitting_paper_values(paper_matrix, paper_decomposition):
-    h1 = hitting_probabilities(paper_matrix, paper_decomposition)[0]
-    h2 = hitting_probabilities(paper_matrix, paper_decomposition)[1]
+    h = full_hitting(paper_decomposition, hitting_probabilities(paper_matrix, paper_decomposition))
+    h1, h2 = h[0], h[1]
     assert np.max(np.abs(h1 - H_1)) <= 1e-9
     assert np.max(np.abs(h2 - (1.0 - H_1))) <= 1e-9
 
@@ -63,8 +63,9 @@ def test_hitting_paper_values(paper_matrix, paper_decomposition):
 def test_hitting_no_transients_is_indicator():
     a = np.eye(3)
     d = decompose(ConfidenceMatrix(a))
-    h = hitting_probabilities(ConfidenceMatrix(a), d)[1]
-    assert np.array_equal(h, [0.0, 1.0, 0.0])
+    block = hitting_probabilities(ConfidenceMatrix(a), d)
+    assert block.shape == (3, 0)  # every agent is absorbed by its own class
+    assert np.array_equal(full_hitting(d, block)[1], [0.0, 1.0, 0.0])
 
 
 def test_hitting_rows_sum_to_one():
@@ -73,7 +74,8 @@ def test_hitting_rows_sum_to_one():
         inst = random_instance(rng)
         cm = confidence_matrix(inst)
         d = decompose(cm)
-        total = sum(hitting_probabilities(cm, d)[k] for k in range(len(d.classes)))
+        h = full_hitting(d, hitting_probabilities(cm, d))
+        total = sum(h[k] for k in range(len(d.classes)))
         assert np.max(np.abs(total - 1.0)) <= 1e-9
 
 
@@ -142,7 +144,7 @@ def test_limit_matrix_identity_paper(paper_matrix, paper_analysis):
     d = paper_analysis.decomposition
     for k, members in enumerate(d.classes):
         for j in members:
-            expected = paper_analysis.hitting[k] * paper_analysis.pi[j]
+            expected = full_hitting(d, paper_analysis.hitting)[k] * paper_analysis.pi[j]
             assert np.max(np.abs(a_inf[:, j] - expected)) <= 1e-8
     # transient columns vanish
     for t in d.transient:
@@ -189,6 +191,14 @@ def test_evaluate_plan_rejects_opinion_above_one(paper_instance, paper_analysis)
         evaluate_plan(paper_instance, paper_analysis, payments, budget=1000.0)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "negative"])
+def test_evaluate_plan_rejects_a_budget_outside_zero_to_inf(paper_instance, paper_analysis, budget):
+    payments = np.zeros(12)
+    payments[9] = 100.0
+    with pytest.raises(ValueError, match="must be nonnegative and finite"):
+        evaluate_plan(paper_instance, paper_analysis, payments, budget=budget)
+
+
 def _per_class_hitting(cm, d, k):
     """Reference: one linear solve per class, as the hitting vectors were first computed."""
     a = cm.matrix
@@ -209,14 +219,11 @@ def test_hitting_matrix_matches_per_class_solves():
         cm = confidence_matrix(inst)
         d = decompose(cm)
         h = hitting_probabilities(cm, d)
-        assert h.shape == (len(d.classes), inst.n)
+        # one column per transient agent: a recurrent agent's column would be its class indicator
+        assert h.shape == (len(d.classes), d.n_transient)
         assert not h.flags.writeable
         for k in range(len(d.classes)):
-            assert np.max(np.abs(h[k] - _per_class_hitting(cm, d, k))) <= 1e-12
-            # recurrent columns are exact class indicators
-            for i, klass in enumerate(d.class_of.tolist()):
-                if klass != -1:
-                    assert h[k, i] == (1.0 if klass == k else 0.0)
+            assert np.max(np.abs(h[k] - _per_class_hitting(cm, d, k)[list(d.transient)])) <= 1e-12
 
 
 def test_analyze_solves_the_transient_system_once(monkeypatch):
@@ -309,7 +316,9 @@ def test_batched_consensi_and_limits_match_per_class_products_bitwise():
         for x in (rng.uniform(0.0, 1.0, cm.n), rng.choice([0.0, 0.5, 1.0], cm.n)):
             cons = [float(np.dot(an.pi[np.asarray(m)], x[np.asarray(m)])) for m in d.classes]
             limits = asymptotic_opinions(an, x)
-            assert limits.tobytes() == (np.asarray(cons) @ an.hitting).tobytes()
+            # recurrent agents take their class consensus, transient ones the consensi through the block
+            assert limits[d.class_of >= 0].tobytes() == np.asarray(cons)[d.class_of[d.class_of >= 0]].tobytes()
+            assert limits[list(d.transient)].tobytes() == (np.asarray(cons) @ an.hitting).tobytes()
             redone = analyze(cm, d, x)
             assert redone.consensus.tobytes() == np.array(cons).tobytes()
             assert redone.asymptotic.tobytes() == limits.tobytes()

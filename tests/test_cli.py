@@ -91,7 +91,7 @@ def test_solve_uses_instance_budget_by_default(capsys):
 
 
 def test_solve_knapsack_mode_refused_with_transients(capsys):
-    code, out = run(capsys, "solve", PAPER, "--mode", "knapsack")
+    code, out = run(capsys, "solve", PAPER, "--epsilon", "0.1")
     assert code == 1
     doc = json.loads(out)
     assert doc["error"] in ("mode_not_applicable", "parse_error")
@@ -196,10 +196,11 @@ def test_unwritable_out_reports_on_stdout(capsys, tmp_path):
 
 
 def test_node_limit_environment(capsys, monkeypatch):
-    monkeypatch.setenv("OBO_NODE_LIMIT", "abc")
-    code, out = run(capsys, "solve", PAPER, "--budget", "309")
-    assert code == 1
-    assert json.loads(out)["error"] == "invalid_input"
+    for value in ("abc", "0", "-5"):
+        monkeypatch.setenv("OBO_NODE_LIMIT", value)
+        code, out = run(capsys, "solve", PAPER, "--budget", "309")
+        assert code == 1, value
+        assert json.loads(out)["error"] == "invalid_input"
     monkeypatch.setenv("OBO_NODE_LIMIT", "1")
     code, out = run(capsys, "solve", PAPER, "--budget", "309")
     assert code == 0

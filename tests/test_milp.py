@@ -23,7 +23,7 @@ from opinionbudget.milp import (
 )
 from opinionbudget.model import confidence_matrix, validate
 
-from conftest import PAPER_EXAMPLE, highs_per_agent_optimum, random_instance, random_raw, tiled_paper
+from conftest import PAPER_EXAMPLE, full_hitting, highs_per_agent_optimum, random_instance, random_raw, tiled_paper
 
 
 def nonzero_payments(instance, plan):
@@ -352,7 +352,7 @@ def test_rates_are_hitting_times_stationary_mass_per_dollar(paper_instance, pape
         assert not mi.pay_agents.flags.writeable
         expected = np.zeros((inst.n, len(mi.pay_agents)))
         for col, a in enumerate(mi.pay_agents.tolist()):
-            expected[:, col] = an.hitting[d.class_of[a]] * an.pi[a] / inst.costs[a]
+            expected[:, col] = full_hitting(d, an.hitting)[d.class_of[a]] * an.pi[a] / inst.costs[a]
             assert mi.caps[col] == inst.costs[a] * (1.0 - inst.true_opinions[a])
         assert np.array_equal(mi.rates, expected)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from opinionbudget.chain_analysis import analyze, evaluate_plan, expressed_opinions, is_supporter, iterate_dynamics
 from opinionbudget.decompose import decompose
 from opinionbudget.knapsack import solve_by_classes
-from opinionbudget.milp import build_milp, solve_milp
+from opinionbudget.milp import budget_sweep, build_milp, solve_milp
 from opinionbudget.model import confidence_matrix, load_instance, save_instance, validate
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -94,6 +94,23 @@ def test_count_is_monotone_in_the_budget(raw, budgets):
 
 
 @PROPERTY_SETTINGS
+@given(no_transient_raw(), st.lists(st.floats(0.0, 80.0), min_size=1, max_size=5))
+def test_sweep_rows_are_the_class_knapsack(raw, budgets):
+    instance = validate(raw)
+    analysis = _analysis(instance)
+    grid = sorted(budgets)
+    curve = budget_sweep(instance, grid)
+    for b, solution in zip(grid, curve.solutions):
+        plan = solve_by_classes(instance, analysis, budget=b)[0]
+        assert solution.plan.payments.tobytes() == plan.payments.tobytes()
+        assert solution.plan.supporters == plan.supporters
+        assert (solution.supporter_count, solution.optimality, solution.node_count) == (
+            len(plan.supporters), "proven", 0)
+    counts = [solution.supporter_count for solution in curve.solutions]
+    assert counts == sorted(counts)
+
+
+@PROPERTY_SETTINGS
 @given(no_transient_raw())
 def test_save_then_load_returns_an_equal_instance(tmp_path_factory, raw):
     instance = validate(raw)
@@ -135,3 +152,12 @@ def test_milp_answer_does_not_depend_on_agent_order(raw, data):
     )
     assert first.supporter_count == second.supporter_count
     assert abs(first.plan.total_spend - second.plan.total_spend) <= 1e-9
+
+
+@MILP_SETTINGS
+@given(transient_raw(), st.lists(st.floats(0.0, 40.0), min_size=2, max_size=4))
+def test_milp_count_is_monotone_in_the_budget(raw, budgets):
+    instance = validate(raw)
+    analysis = _analysis(instance)
+    counts = [solve_milp(build_milp(instance, analysis, budget=b)).supporter_count for b in sorted(budgets)]
+    assert counts == sorted(counts)
