@@ -90,16 +90,19 @@ def hitting_probabilities(cm: ConfidenceMatrix, decomposition: Decomposition) ->
     Columns follow ``decomposition.transient``; a recurrent agent is
     absorbed by its own class (``class_of``), so it has no column.  One
     factorization solves ``(I - Q) H_T = R`` for all classes: ``Q`` is the
-    transient block of the matrix and ``R[t, k]`` the one-step mass from
-    transient ``t`` into class ``k``.  The returned array is read-only.
+    transient block and ``R[t, k]`` the one-step mass from transient ``t``
+    into class ``k``, both from the transient rows' entries (read-only).
     """
-    t = np.asarray(decomposition.transient, dtype=np.intp)
-    ht = np.zeros((0, len(decomposition.classes)))
+    d, t = decomposition, np.asarray(decomposition.transient, dtype=np.intp)
+    ht = np.zeros((0, len(d.classes)))
     if len(t):
-        a = cm.matrix
-        indicator = (decomposition.class_of == np.arange(len(decomposition.classes))[:, None]).astype(float)
-        system = np.eye(len(t)) - a[np.ix_(t, t)]
-        rhs = a[t] @ indicator.T
+        width = len(t) + len(d.classes)
+        # each agent's column in [Q | R]: its rank among the (ascending) transients, or T + its class
+        col = np.where(d.class_of >= 0, len(t) + d.class_of, np.cumsum(d.class_of < 0) - 1)
+        own = d.class_of[cm.rows] < 0  # the transient rows' entries
+        qr = np.bincount(col[cm.rows[own]] * width + col[cm.indices[own]], cm.data[own], len(t) * width)
+        qr = qr.reshape(len(t), width)
+        system, rhs = np.eye(len(t)) - qr[:, :len(t)], qr[:, len(t):]
         try:
             ht = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError as e:
@@ -188,7 +191,7 @@ def iterate_dynamics(
     max_steps: int = 100_000,
     tol: float = 1e-12,
 ) -> tuple[np.ndarray, int]:
-    """Run the update ``x <- A x`` until the max-norm change drops below tol.
+    """Run the update ``x <- A x`` (one sparse product) until the max-norm change drops below tol.
 
     This is the independent oracle for :func:`asymptotic_opinions`.
     Returns the final vector and the number of steps taken; raises
@@ -196,11 +199,11 @@ def iterate_dynamics(
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
-    a = cm.matrix
+    rows, cols, a = cm.rows, cm.indices, cm.data
     x = np.asarray(opinions, dtype=float).copy()
     change = np.inf
     for step in range(1, max_steps + 1):
-        nxt = a @ x
+        nxt = np.bincount(rows, a * x[cols], cm.n)
         change = float(np.max(np.abs(nxt - x)))
         x = nxt
         if change < tol:

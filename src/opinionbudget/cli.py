@@ -58,7 +58,7 @@ def _load(args):
 
 
 def _analyzed(args):
-    """The instance and its chain analysis; the dense matrix is not held past the analysis."""
+    """The instance and its chain analysis."""
     instance, cm = _load(args)
     return instance, chain_analysis.analyze(cm, decompose(cm), instance.true_opinions)
 
@@ -130,6 +130,7 @@ def _cmd_min_class_budget(args) -> int:
 
 def _cmd_solve(args) -> int:
     instance, an = _analyzed(args)
+    node_limit = milp.resolve_node_limit()  # checked on every instance, not only where B&B runs
     budget = instance.budget if args.budget is None else args.budget
     # --epsilon asks for the class knapsack, which refuses transient states
     if not an.decomposition.transient or args.epsilon is not None:
@@ -140,7 +141,7 @@ def _cmd_solve(args) -> int:
                               selected_classes=list(selection.selected))), args)
         return 0
     mi = milp.build_milp(instance, an, budget=budget)
-    solution = milp.solve_milp(mi, round_dollars=not args.exact_payments)
+    solution = milp.solve_milp(mi, node_limit, round_dollars=not args.exact_payments)
     _emit(_json(_plan_doc(solution.plan, solution.supporter_count, "milp",
                           optimality=solution.optimality, node_count=solution.node_count)), args)
     return 0

@@ -1,11 +1,11 @@
 """Partition the equivalent Markov chain into transient states and ergodic classes.
 
 States are the nodes of the directed graph with an edge (i, j) wherever
-``A[i, j] > 0`` (exact comparison; weights are inputs, not computed).  An
-ergodic class is a strongly connected component with no edge leaving it;
-every other state is transient.  Classes are ordered by their smallest
-member index and members are listed ascending, so the partition is a
-deterministic function of the matrix alone.
+the CSR matrix stores ``A[i, j] > 0`` (exact comparison; weights are
+inputs, not computed).  An ergodic class is a strongly connected component
+with no edge leaving it; every other state is transient.  Classes are
+ordered by their smallest member index and members are listed ascending,
+so the partition is a deterministic function of the matrix alone.
 """
 
 from dataclasses import dataclass
@@ -112,15 +112,14 @@ def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
 def decompose(cm: ConfidenceMatrix) -> Decomposition:
     """Split the chain's states into ergodic classes and transient states.
 
-    An SCC is ergodic exactly when no edge leaves it.  One
-    ``flatnonzero`` over the dense matrix lists every edge, row-major, so
-    each state's neighbors come out ascending; that pass is O(n^2) in the
-    number of states.  The SCC search and the closure test (one array
-    comparison of the components at both ends of every edge) are linear
-    in states plus edges.
+    An SCC is ergodic exactly when no edge leaves it.  Each state's
+    neighbors are its CSR row's columns, already ascending.  The SCC
+    search and the closure test (one array comparison of the components at
+    both ends of every edge) are linear in states plus edges.
     """
     n = cm.n
-    rows, cols = np.divmod(np.flatnonzero(cm.matrix > 0.0), n)
+    live = cm.data > 0.0  # a tiny weight can round to 0 when its row is normalized
+    rows, cols = cm.rows[live], cm.indices[live]
     starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
     targets = cols.tolist()
     adj = [targets[starts[i]:starts[i + 1]] for i in range(n)]
@@ -153,10 +152,16 @@ def class_blocks(cm: ConfidenceMatrix, ks, members: np.ndarray) -> np.ndarray:
 
     ``members`` holds one class's members per row, as in
     :attr:`Decomposition.groups`; the result is a ``(len(ks), m, m)``
-    stack gathered with one fancy index.  Class closure makes every block
-    row-stochastic; this is asserted rather than assumed.
+    stack that each class's own entries are scattered into.  Class closure
+    makes every block row-stochastic; this is asserted rather than assumed.
     """
-    blocks = cm.matrix[members[:, :, None], members[:, None, :]]
+    m = members.shape[1]
+    slot = np.full(cm.n, -1)
+    slot[members.ravel()] = np.arange(members.size)  # class * m + position in the class
+    rows, cols = slot[cm.rows], slot[cm.indices]
+    inside = (rows >= 0) & (cols // m == rows // m)
+    blocks = np.bincount(rows[inside] * m + cols[inside] % m, cm.data[inside], members.size * m)
+    blocks = blocks.reshape(-1, m, m)
     row_err = np.max(np.abs(blocks.sum(axis=2) - 1.0), axis=1)
     bad = np.flatnonzero(row_err > ROW_SUM_TOL)
     if bad.size:

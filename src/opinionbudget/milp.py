@@ -239,6 +239,19 @@ def _branch_and_bound(program: LinearProgram, q: int, visit, node_limit: int) ->
     return nodes, True
 
 
+def resolve_node_limit(node_limit: int | None = None) -> int:
+    """``node_limit``, else ``OBO_NODE_LIMIT``, else the default; ``ValueError`` unless it is at least 1."""
+    if node_limit is None:
+        limit = os.environ.get("OBO_NODE_LIMIT") or DEFAULT_NODE_LIMIT
+        try:
+            node_limit = int(limit)
+        except ValueError:
+            raise ValueError(f"OBO_NODE_LIMIT must be an integer, got {limit!r}") from None
+    if node_limit < 1:
+        raise ValueError(f"node limit must be at least 1, got {node_limit}")
+    return node_limit
+
+
 def solve_milp(mi: MilpInstance, node_limit: int | None = None,
                round_dollars: bool = True) -> MilpSolution:
     """Provably optimal supporter plan by two branch-and-bound passes.
@@ -249,14 +262,7 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
     lexicographic payments.  If the node limit is exhausted the best
     incumbent is returned marked "heuristic".
     """
-    if node_limit is None:
-        limit = os.environ.get("OBO_NODE_LIMIT") or DEFAULT_NODE_LIMIT
-        try:
-            node_limit = int(limit)
-        except ValueError:
-            raise ValueError(f"OBO_NODE_LIMIT must be an integer, got {limit!r}") from None
-    if node_limit < 1:
-        raise ValueError(f"node limit must be at least 1, got {node_limit}")
+    node_limit = resolve_node_limit(node_limit)
     q = len(mi.pay_agents)
     units = _units(mi.analysis.decomposition)
     reps, sizes = [u[0] for u in units], np.array([len(u) for u in units], dtype=float)
@@ -334,13 +340,13 @@ def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
 def budget_sweep(instance: Instance, budgets, node_limit: int | None = None,
                  round_dollars: bool = True) -> SweepCurve:
     """Solve the supporter problem along an ascending budget grid; without transient states
-    each row is ``solve_by_classes`` at its budget (``node_limit``, ``round_dollars`` unused)."""
+    each row is ``solve_by_classes`` at its budget (``node_limit`` checked, ``round_dollars`` unused)."""
     values = [float(b) for b in budgets]
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
         raise ValueError("budgets must be sorted ascending")
+    node_limit = resolve_node_limit(node_limit)
     cm = confidence_matrix(instance)
     analysis = analyze(cm, decompose(cm), instance.true_opinions)
-    del cm  # the dense matrix is not needed past the analysis
 
     def solve(b):
         if analysis.decomposition.transient:

@@ -5,12 +5,13 @@ opinions, per-agent persuasion costs, a supporter threshold, and a payment
 budget.  Costs are stored in dollars per *full* unit of opinion change;
 files may declare ``"cost_unit": "per_0.1"`` to supply dollars per +0.1
 instead, which the loader scales on ingest.  Everything downstream runs on
-the row-stochastic confidence matrix derived from the edge weights.
+the row-stochastic confidence matrix derived from the edge weights (CSR).
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
@@ -102,26 +103,34 @@ class Instance:
 
 @dataclass(frozen=True)
 class ConfidenceMatrix:
-    """Dense row-stochastic matrix of normalized confidence weights."""
+    """Row-stochastic confidence matrix in CSR form, memory O(n + edges): row ``i`` holds the
+    ascending columns ``indices[indptr[i]:indptr[i + 1]]`` and their values ``data`` (read-only)."""
 
-    matrix: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
 
     def __post_init__(self):
-        a = self.matrix
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("confidence matrix must be square")
+        n, rows, cols, a = self.n, self.rows, self.indices, self.data
+        if len(rows) != len(cols) or (np.diff(rows * n + cols) <= 0).any() or ((cols < 0) | (cols >= n)).any():
+            raise ValueError("confidence matrix rows must hold ascending columns in range")
         if (a < 0.0).any():
             raise ValueError("confidence matrix entries must be nonnegative")
-        if (np.diag(a) <= 0.0).any():
+        if np.count_nonzero((cols == rows) & (a > 0.0)) < n:  # each row has one diagonal entry at most
             raise ValueError("confidence matrix diagonal must be strictly positive")
-        row_err = np.max(np.abs(a.sum(axis=1) - 1.0)) if a.size else 0.0
+        row_err = np.max(np.abs(np.bincount(rows, a, n) - 1.0), initial=0.0)
         if row_err > ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 (max deviation {row_err:.3e})")
-        a.flags.writeable = False
+        self.indptr.flags.writeable = cols.flags.writeable = a.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.indptr) - 1
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row index of each stored entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
 
 @dataclass(frozen=True)
@@ -313,12 +322,52 @@ def validate(raw: dict) -> Instance:
     return Instance(agents, src, dst, w, opinions, costs, threshold, budget)
 
 
+def dense_row_sums(rows, cols, values, n: int) -> np.ndarray:
+    """Row sums of sparse entries, bit for bit numpy's ``dense.sum(axis=1)`` over ``n`` columns.
+
+    numpy adds a row along a binary tree fixed by ``n``: a span of over 128
+    columns splits at half its length, rounded down to a multiple of 8; a
+    shorter one folds columns ``j, j + 8, ...`` below its last multiple of 8
+    into accumulator ``j``, adds ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``
+    and folds in the other columns.  A zero leaf changes no partial sum, so
+    each row's entries, in tree order, are merged pairwise, deepest common
+    ancestor first.
+    """
+    r = np.arange(n)  # offset in the current span
+    span, depth, path = np.full(n, n), 0 * r, 0 * r
+    while (big := span > 128).any():
+        half = span // 2 - span // 2 % 8
+        right = big & (r >= half)
+        r, span = r - right * half, np.where(right, span - half, np.where(big, half, span))
+        depth, path = depth + big, path << big | right
+    # Term i of a fold ((t0 + t1) + ...) + t(k-1) sits k - i - (i == 0) levels down, a right child if i > 0.
+    # A span folds k = span % 8 + 1 terms, the first the accumulators' tree (empty below 8 columns);
+    # accumulator r % 8 is that tree's leaf r % 8, 3 levels down, and folds terms r // 8 of m // 8.
+    m = span - span % 8
+    acc = r < m
+    i, k, j, q = np.where(acc, 0, r - m + 1), span % 8 + 1, r // 8, m // 8 + 3
+    d_fold, d_acc = k - i - (i == 0), (q - j - (j == 0)) * acc
+    path = (path << d_fold | (i > 0)) << d_acc | acc * (r % 8 << d_acc - 3 | (j > 0))
+    depth = depth + d_fold + d_acc
+    key = (path << depth.max(initial=0) - depth)[cols]  # root-first branches, left-aligned
+    order = np.lexsort((key, rows))
+    rows, key, vals = rows[order], key[order], values[order]
+    # levels below the deepest common ancestor: the bit length of the keys' xor (exact to 53 levels)
+    gap = np.where(rows[1:] == rows[:-1], np.frexp(key[1:] ^ key[:-1])[1], 0)
+    for level in 1 + np.flatnonzero(np.bincount(gap, minlength=1)[1:]):  # levels present; merging changes no gap
+        left = np.flatnonzero(gap == level)
+        vals[left] += vals[left + 1]
+        rows, vals, gap = np.delete(rows, left + 1), np.delete(vals, left + 1), np.delete(gap, left)
+    return np.bincount(rows, vals, n)
+
+
 def confidence_matrix(instance: Instance) -> ConfidenceMatrix:
-    """Row-normalize the weights: ``A[i, j] = w_ij / W_i``."""
-    w = np.zeros((instance.n, instance.n))
-    w[instance.sources, instance.targets] = instance.weights
-    w /= w.sum(axis=1, keepdims=True)
-    return ConfidenceMatrix(w)
+    """Row-normalized weights ``A[i, j] = w_ij / W_i``, in CSR order: one stable sort by (source, target)."""
+    n = instance.n
+    order = np.argsort(instance.sources * n + instance.targets, kind="stable")
+    rows, cols, w = instance.sources[order], instance.targets[order], instance.weights[order]
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return ConfidenceMatrix(indptr, cols, w / dense_row_sums(rows, cols, w, n)[rows])
 
 
 def load_instance(path) -> Instance:

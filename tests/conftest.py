@@ -9,7 +9,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from opinionbudget.chain_analysis import analyze
 from opinionbudget.decompose import decompose
-from opinionbudget.model import confidence_matrix, load_instance, validate
+from opinionbudget.model import ConfidenceMatrix, confidence_matrix, load_instance, validate
 
 DATA = Path(__file__).parent / "data"
 PAPER_EXAMPLE = DATA / "paper_example.json"
@@ -33,6 +33,19 @@ def paper_decomposition(paper_matrix):
 @pytest.fixture(scope="session")
 def paper_analysis(paper_instance, paper_matrix, paper_decomposition):
     return analyze(paper_matrix, paper_decomposition, paper_instance.true_opinions)
+
+
+def csr(dense):
+    """The :class:`ConfidenceMatrix` of a dense row-stochastic array: its nonzero entries, row by row."""
+    rows, cols = np.nonzero(dense)
+    return ConfidenceMatrix(np.searchsorted(rows, np.arange(len(dense) + 1)), cols, dense[rows, cols])
+
+
+def dense(cm):
+    """The dense array of a :class:`ConfidenceMatrix`, as a reference the library never forms."""
+    a = np.zeros((cm.n, cm.n))
+    a[cm.rows, cm.indices] = cm.data
+    return a
 
 
 def random_raw(rng, n_min=2, n_max=12, budget_scale=1.0):
@@ -66,6 +79,27 @@ def random_raw(rng, n_min=2, n_max=12, budget_scale=1.0):
 
 def random_instance(rng, n_min=2, n_max=12, budget_scale=1.0):
     return validate(random_raw(rng, n_min, n_max, budget_scale))
+
+
+def classes_raw(rng, n_agents, budget=0.0):
+    """Raw dict for an instance without transient states: disjoint dense classes of 1-6 agents."""
+    agents = [f"v{i}" for i in range(n_agents)]
+    edges = []
+    start = 0
+    while start < n_agents:
+        size = min(int(rng.integers(1, 7)), n_agents - start)
+        w = rng.uniform(0.1, 1.0, (size, size))
+        edges += [{"from": agents[start + r], "to": agents[start + c], "w": float(w[r, c])}
+                  for r in range(size) for c in range(size)]
+        start += size
+    return {
+        "agents": agents,
+        "edges": edges,
+        "opinions": [float(x) for x in rng.uniform(0.0, 1.0, n_agents)],
+        "costs": [float(c) for c in rng.uniform(0.5, 10.0, n_agents)],
+        "threshold": float(rng.uniform(0.5, 0.9)),
+        "budget": budget,
+    }
 
 
 def random_class(rng, n_max=6):

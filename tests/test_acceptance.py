@@ -17,7 +17,7 @@ from opinionbudget.knapsack import KnapsackItem, knapsack_exact, knapsack_fptas
 from opinionbudget.milp import brute_force_oracle, budget_sweep, build_milp, solve_milp
 from opinionbudget.model import confidence_matrix
 
-from conftest import full_hitting, random_class, random_instance
+from conftest import dense, full_hitting, random_class, random_instance
 from test_class_budget import lp_min_budget
 from test_knapsack import enumerate_best, random_items
 
@@ -173,7 +173,7 @@ def test_criterion_9_limit_matrix_identity():
             cm = confidence_matrix(inst)
             d = decompose(cm)
             an = analyze(cm, d, inst.true_opinions)
-            a_inf = np.linalg.matrix_power(cm.matrix, 10_000)
+            a_inf = np.linalg.matrix_power(dense(cm), 10_000)
             for k, members in enumerate(d.classes):
                 for j in members:
                     expected = full_hitting(d, an.hitting)[k] * an.pi[j]

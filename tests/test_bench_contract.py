@@ -1,12 +1,17 @@
 """The frozen benchmark's view of the library: what ``perfbench/`` patches and reads."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from opinionbudget import build_milp
+from opinionbudget.cli import main
+
+from conftest import PAPER_EXAMPLE, classes_raw
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +40,12 @@ def test_gate_reads_what_build_milp_exposes(perfbench, paper_instance, paper_ana
     for name in ("degenerate", "lower_bound", "baseline", "rates", "caps", "pay_agents",
                  "threshold"):
         assert hasattr(mi, name), name
+
+
+def test_gate_passes_real_solve_output(perfbench, capsys, tmp_path):
+    gate = importlib.import_module("gate")
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps(classes_raw(np.random.default_rng(3), 60, budget=40.0)))
+    for argv in (["solve", str(PAPER_EXAMPLE)], ["solve", str(classes)]):
+        assert main(argv) == 0
+        assert gate.check(argv, argv[1], capsys.readouterr().out) == []

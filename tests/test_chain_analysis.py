@@ -16,9 +16,9 @@ from opinionbudget.chain_analysis import (
     stationary_distribution,
 )
 from opinionbudget.decompose import Decomposition, decompose, submatrix
-from opinionbudget.model import ConfidenceMatrix, confidence_matrix
+from opinionbudget.model import confidence_matrix
 
-from conftest import full_hitting, random_class, random_instance
+from conftest import csr, dense, full_hitting, random_class, random_instance
 
 PI_1 = np.array([20, 15, 12]) / 47
 PI_2 = np.array([5, 20, 10, 4]) / 39
@@ -62,8 +62,8 @@ def test_hitting_paper_values(paper_matrix, paper_decomposition):
 
 def test_hitting_no_transients_is_indicator():
     a = np.eye(3)
-    d = decompose(ConfidenceMatrix(a))
-    block = hitting_probabilities(ConfidenceMatrix(a), d)
+    d = decompose(csr(a))
+    block = hitting_probabilities(csr(a), d)
     assert block.shape == (3, 0)  # every agent is absorbed by its own class
     assert np.array_equal(full_hitting(d, block)[1], [0.0, 1.0, 0.0])
 
@@ -140,7 +140,7 @@ def test_iterate_rejects_bad_tol(paper_matrix, paper_instance):
 
 def test_limit_matrix_identity_paper(paper_matrix, paper_analysis):
     # columns of A^l converge to h_i^(k) pi_j^(k) for j recurrent
-    a_inf = np.linalg.matrix_power(paper_matrix.matrix, 10_000)
+    a_inf = np.linalg.matrix_power(dense(paper_matrix), 10_000)
     d = paper_analysis.decomposition
     for k, members in enumerate(d.classes):
         for j in members:
@@ -201,7 +201,7 @@ def test_evaluate_plan_rejects_a_budget_outside_zero_to_inf(paper_instance, pape
 
 def _per_class_hitting(cm, d, k):
     """Reference: one linear solve per class, as the hitting vectors were first computed."""
-    a = cm.matrix
+    a = dense(cm)
     h = np.zeros(cm.n)
     members = np.asarray(d.classes[k])
     h[members] = 1.0
@@ -277,7 +277,7 @@ def block_chain(rng, transients):
         a[t, rng.integers(n_rec, n, 2)] += rng.uniform(0.1, 1.0, 2)
     a /= a.sum(axis=1, keepdims=True)
     perm = rng.permutation(n)
-    return ConfidenceMatrix(a[np.ix_(perm, perm)].copy()), sorted(sizes)
+    return csr(a[np.ix_(perm, perm)].copy()), sorted(sizes)
 
 
 def test_batched_stationary_matches_single_solves_bitwise():
@@ -301,7 +301,7 @@ def test_analyze_rejects_a_class_that_is_not_closed():
         [0.0, 0.0, 0.5, 0.5, 0.0],
         [0.0, 0.0, 0.0, 0.0, 1.0],
     ])
-    cm = ConfidenceMatrix(a)
+    cm = csr(a)
     d = Decomposition((), ((0, 1), (2, 3), (4,)), np.array([0, 0, 1, 1, 2]))
     with pytest.raises(ValueError, match="class 1 is not closed"):
         analyze(cm, d, np.zeros(5))

@@ -7,7 +7,7 @@ import pytest
 
 from opinionbudget.cli import main
 
-from conftest import PAPER_EXAMPLE
+from conftest import PAPER_EXAMPLE, classes_raw
 
 PAPER = str(PAPER_EXAMPLE)
 
@@ -205,6 +205,19 @@ def test_node_limit_environment(capsys, monkeypatch):
     code, out = run(capsys, "solve", PAPER, "--budget", "309")
     assert code == 0
     assert json.loads(out)["optimality"] == "heuristic"
+
+
+def test_node_limit_environment_is_checked_without_transient_states(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "classes.json"
+    path.write_text(json.dumps(classes_raw(np.random.default_rng(11), 40, budget=30.0)))
+    for argv in (("solve", str(path)), ("sweep", str(path), "--budgets", "1,30")):
+        for value in ("abc", "0"):
+            monkeypatch.setenv("OBO_NODE_LIMIT", value)
+            code, out = run(capsys, *argv)
+            assert code == 1, (argv, value)
+            assert json.loads(out)["error"] == "invalid_input"
+        monkeypatch.setenv("OBO_NODE_LIMIT", "1")  # the class knapsack never uses it
+        assert run(capsys, *argv)[0] == 0
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from opinionbudget.decompose import decompose, submatrix
-from opinionbudget.model import ConfidenceMatrix, confidence_matrix
+from opinionbudget.model import confidence_matrix
 
-from conftest import random_instance
+from conftest import csr, dense, random_instance
 
 
 def names(instance, indices):
@@ -23,7 +23,7 @@ def test_paper_partition(paper_instance, paper_matrix, paper_decomposition):
 
 
 def test_identity_matrix_three_singletons():
-    d = decompose(ConfidenceMatrix(np.eye(3)))
+    d = decompose(csr(np.eye(3)))
     assert d.transient == ()
     assert d.classes == ((0,), (1,), (2,))
 
@@ -32,7 +32,7 @@ def test_strictly_positive_matrix_single_class():
     rng = np.random.default_rng(3)
     a = rng.uniform(0.1, 1.0, (4, 4))
     a /= a.sum(axis=1, keepdims=True)
-    d = decompose(ConfidenceMatrix(a))
+    d = decompose(csr(a))
     assert d.transient == ()
     assert d.classes == ((0, 1, 2, 3),)
 
@@ -55,7 +55,7 @@ def test_class_closure():
         for members in d.classes:
             inside = set(members)
             for i in members:
-                targets = set(np.flatnonzero(cm.matrix[i] > 0.0))
+                targets = set(np.flatnonzero(dense(cm)[i] > 0.0))
                 assert targets <= inside
 
 
@@ -74,7 +74,7 @@ def test_transients_reach_some_class():
             while frontier and not hit:
                 nxt = []
                 for v in frontier:
-                    for w in np.flatnonzero(cm.matrix[v] > 0.0):
+                    for w in np.flatnonzero(dense(cm)[v] > 0.0):
                         w = int(w)
                         if w in recurrent:
                             hit = True
@@ -93,8 +93,8 @@ def test_permutation_invariance():
         cm = confidence_matrix(inst)
         d = decompose(cm)
         perm = rng.permutation(inst.n)
-        permuted = cm.matrix[np.ix_(perm, perm)]
-        d2 = decompose(ConfidenceMatrix(permuted.copy()))
+        permuted = dense(cm)[np.ix_(perm, perm)]
+        d2 = decompose(csr(permuted.copy()))
         # map the permuted partition back to original labels
         back = {int(p): i for i, p in enumerate(perm)}
         original_sets = {frozenset(c) for c in d.classes}
@@ -119,8 +119,8 @@ def test_submatrix_paper_values(paper_matrix, paper_decomposition):
 
 
 def test_submatrix_singleton():
-    d = decompose(ConfidenceMatrix(np.eye(2)))
-    assert np.array_equal(submatrix(ConfidenceMatrix(np.eye(2)), d, 0), [[1.0]])
+    d = decompose(csr(np.eye(2)))
+    assert np.array_equal(submatrix(csr(np.eye(2)), d, 0), [[1.0]])
 
 
 def test_submatrix_random_row_stochastic():
@@ -159,7 +159,7 @@ def test_partition_matches_transitive_closure():
         a = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < density)
         a[np.arange(n), np.arange(n)] = rng.uniform(0.1, 1.0, n)
         a /= a.sum(axis=1, keepdims=True)
-        d = decompose(ConfidenceMatrix(a))
+        d = decompose(csr(a))
         transient, classes = brute_force_partition(a)
         assert d.transient == transient
         assert d.classes == classes

@@ -18,7 +18,7 @@ from opinionbudget.model import (
 from opinionbudget.chain_analysis import evaluate_plan, analyze
 from opinionbudget.decompose import decompose
 
-from conftest import PAPER_EXAMPLE, random_instance, random_raw
+from conftest import PAPER_EXAMPLE, dense, random_instance, random_raw
 
 
 def tiny_raw(**overrides):
@@ -102,7 +102,7 @@ def test_negative_weight_rejected():
 
 
 def test_confidence_matrix_paper(paper_instance):
-    a = confidence_matrix(paper_instance).matrix
+    a = dense(confidence_matrix(paper_instance))
     expected_first_rows = np.array([
         [0.7, 0.3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         [0, 0.6, 0.4, 0, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -118,12 +118,12 @@ def test_confidence_matrix_single_agent():
         "agents": ["a"], "edges": [{"from": "a", "to": "a", "w": 5.0}],
         "opinions": [0.3], "costs": [1.0], "threshold": 0.5, "budget": 0.0,
     }
-    a = confidence_matrix(validate(raw)).matrix
+    a = dense(confidence_matrix(validate(raw)))
     assert a.shape == (1, 1) and a[0, 0] == 1.0
 
 
 def test_confidence_matrix_two_agents_halving():
-    a = confidence_matrix(validate(tiny_raw())).matrix
+    a = dense(confidence_matrix(validate(tiny_raw())))
     assert np.allclose(a, [[0.5, 0.5], [0.0, 1.0]])
 
 
@@ -131,7 +131,7 @@ def test_confidence_matrix_random_row_stochastic():
     rng = np.random.default_rng(7)
     for _ in range(25):
         inst = random_instance(rng)
-        a = confidence_matrix(inst).matrix
+        a = dense(confidence_matrix(inst))
         assert np.max(np.abs(a.sum(axis=1) - 1.0)) <= 1e-12
         assert (np.diag(a) > 0).all()
         assert (a >= 0).all()
