@@ -1,25 +1,36 @@
-"""Dense bounded-variable simplex: cold primal solves, dual warm starts.
+"""Dense bounded-variable simplex on an explicit basis inverse: cold primal
+solves, dual warm starts.
 
 Maximizes ``c . x`` subject to general-sense rows and per-variable bounds
-(infinities allowed).  A cold solve runs two primal phases, with
-artificials only where the slack cannot absorb the initial residual;
-Dantzig pricing switches to Bland's rule after a fixed pivot count so
-degenerate problems cannot cycle.
+(infinities allowed).  A solve keeps the explicit inverse ``B^-1`` of its
+basic columns, so prices, pivot columns and basic values are matrix-vector
+products.  Each pivot applies one rank-one (eta) update to ``B^-1``; one
+``np.linalg.inv`` refactorizes it at every cold start and after every
+``REFACTOR_EVERY`` updates, which bounds the rounding that the updates
+accumulate.  A cold solve runs two primal phases, with artificials only
+where the slack cannot absorb the initial residual; Dantzig pricing
+switches to Bland's rule after a fixed pivot count so degenerate problems
+cannot cycle.
 
-An optimal result carries its :class:`Basis`; a program that differs
-only in its bounds can start from it.  Nonbasics go onto their new
-bounds, one solve recomputes the basics, and a bounded dual simplex
-drops the basic with the largest bound violation (ties to the smallest
-variable index) for the column of smallest ``|d_j / alpha_j|`` that moves
-it toward its bound.  Ties go to the largest index, so a slack enters
-before a structural column and more variables stay on their bounds
+An optimal result carries its :class:`Basis`: the basic columns, the
+nonbasics at their upper bound, ``B^-1`` with its update count, and the
+program's bound-independent data (``[rows | I]``, ``b``, the costs and the
+slack bounds), which the cold solve builds once and every warm start
+shares.  A program that differs only in its bounds starts from it without
+a rebuild or a factorization.  Nonbasics go onto their new bounds, one
+product ``B^-1 (b - N x_N)`` recomputes the basics, and a bounded dual
+simplex drops the basic with the largest bound violation (ties to the
+smallest variable index) for the column of smallest ``|d_j / alpha_j|``
+that moves it toward its bound.  Ties go to the largest index, so a slack
+enters before a structural column and more variables stay on their bounds
 (smallest-index ties tripled the branch-and-bound nodes on random
-16-40-agent instances).  The primal iteration then cleans up.  A row
-with no entering column means "infeasible" only if ``rho . A x`` over
-the variable box misses ``rho . b`` by more than ``FEAS_TOL`` (a Farkas
+16-40-agent instances).  The primal iteration then cleans up.  A row with
+no entering column means "infeasible" only if ``rho . A x`` over the
+variable box misses ``rho . b`` by more than ``FEAS_TOL`` (a Farkas
 check); a failed check, the pivot limit or a numerical failure sends the
-program to a cold solve.  The same program and start always give the
-same pivots and the same result.
+program to a cold solve, and every optimum is verified against the
+program's own rows and bounds.  The same program and start always give
+the same pivots and the same result.
 """
 
 from dataclasses import dataclass
@@ -34,7 +45,9 @@ BOUND_TOL = 1e-9
 COST_TOL = 1e-9
 #: Smallest |alpha_j| the dual ratio test pivots on.
 PIVOT_TOL = 1e-9
-#: Smallest |w_r| that blocks a primal step; smaller entries are rounding noise.
+#: Smallest |w_r| that blocks a primal step, and the size, relative to the
+#: largest, below which a Farkas multiplier entry is dropped: smaller entries
+#: are rounding noise (the eta updates leave it where a factorization has zeros).
 PRIMAL_PIVOT_TOL = 1e-11
 #: Step lengths or dual ratios this close count as tied, so the index tie-break decides.
 TIE_TOL = 1e-12
@@ -42,6 +55,8 @@ TIE_TOL = 1e-12
 BLAND_AFTER = 500
 #: Hard pivot limit; beyond it the solve is abandoned.
 PIVOT_LIMIT = 20_000
+#: Eta updates of the basis inverse between two factorizations.
+REFACTOR_EVERY = 32
 
 _SENSES = ("<=", "=", ">=")
 _SLACK_BOUNDS = {"<=": (0.0, np.inf), "=": (0.0, 0.0), ">=": (-np.inf, 0.0)}
@@ -80,12 +95,43 @@ class LinearProgram:
             raise ValueError("lower bound exceeds upper bound")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Extended:
+    """A program's bound-independent data over [structural | slack] columns:
+    ``A = [rows | I]``, ``b``, the cost vector ``c`` (zero on slacks) and the
+    slack bounds that encode the row senses.  All arrays are read-only."""
+
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    slack_lower: np.ndarray
+    slack_upper: np.ndarray
+
+    @classmethod
+    def of(cls, lp: LinearProgram) -> "Extended":
+        m = len(lp.senses)
+        slack = np.array([_SLACK_BOUNDS[s] for s in lp.senses]).reshape(m, 2).T.copy()
+        arrays = (np.hstack([np.asarray(lp.rows, dtype=float), np.eye(m)]),
+                  np.array(lp.rhs, dtype=float),
+                  np.concatenate([np.asarray(lp.objective, dtype=float), np.zeros(m)]),
+                  *slack)
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(*arrays)
+
+
+@dataclass(frozen=True, eq=False)
 class Basis:
-    """Column basic in each row, and the nonbasics at their upper bound."""
+    """What a warm start needs from an optimum: the column basic in each
+    row, the nonbasics at their upper bound, the read-only inverse of the
+    basic columns with the eta updates it has taken since its last
+    factorization, and the program's shared :class:`Extended` data."""
 
     basic: np.ndarray  # [structural | slack] column index per row
     at_upper: np.ndarray
+    inverse: np.ndarray
+    etas: int
+    data: Extended
 
 
 @dataclass(frozen=True)
@@ -100,16 +146,13 @@ class LpResult:
 class _Simplex:
     """Working state: extended columns are [structural | slack | artificial]."""
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, data: Extended):
         self.n = len(lp.objective)
         self.m = len(lp.senses)
-
-        self.b = np.asarray(lp.rhs, dtype=float).copy()
-        # slack bounds encode the row sense: row . x + s = b
-        slack = np.array([_SLACK_BOUNDS[s] for s in lp.senses]).reshape(self.m, 2)
-        self.A = np.hstack([np.asarray(lp.rows, dtype=float), np.eye(self.m)])
-        self.lower = np.concatenate([np.asarray(lp.lower, dtype=float), slack[:, 0]])
-        self.upper = np.concatenate([np.asarray(lp.upper, dtype=float), slack[:, 1]])
+        self.data = data
+        self.A, self.b = data.A, data.b
+        self.lower = np.concatenate([np.asarray(lp.lower, dtype=float), data.slack_lower])
+        self.upper = np.concatenate([np.asarray(lp.upper, dtype=float), data.slack_upper])
         self.n_real = self.n + self.m  # columns that are not artificial
 
         # start every variable at its nearest finite bound (free vars at 0)
@@ -132,23 +175,36 @@ class _Simplex:
         self.lower = np.concatenate([self.lower, np.where(up, 0.0, -np.inf)])
         self.upper = np.concatenate([self.upper, np.where(up, np.inf, 0.0)])
         self.x = np.concatenate([self.x, residual[art]])
+        self._factorize()
         return np.concatenate([np.zeros(self.n_real), np.where(up, -1.0, 1.0)])
+
+    def _factorize(self) -> None:
+        """Recompute ``B^-1`` from the basic columns."""
+        try:
+            self.binv = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError as e:
+            raise NumericalFailure(f"singular basis: {e}") from e
+        self.etas = 0
 
     def _solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """``B^-1 rhs`` (or ``B^-T rhs``) for the current basis matrix ``B``."""
-        basis_matrix = self.A[:, self.basis]
-        try:
-            return np.linalg.solve(basis_matrix.T if transpose else basis_matrix, rhs)
-        except np.linalg.LinAlgError as e:
-            raise NumericalFailure(f"singular basis: {e}") from e
+        return rhs @ self.binv if transpose else self.binv @ rhs
 
     def _exchange(self, enter: int, step: float, w: np.ndarray, row: int, value: float) -> None:
-        """Move ``enter`` by ``step``; it takes row ``row``, whose basic leaves at ``value``."""
+        """Move ``enter`` by ``step``; it takes row ``row``, whose basic leaves at ``value``.
+        ``w = B^-1 a_enter``; ``B^-1`` takes the matching eta update."""
         self.x[self.basis] = self.x[self.basis] - step * w
         self.x[enter] += step
         self.x[self.basis[row]] = value
         self.basis[row] = enter
         self.pivots += 1
+        if self.etas + 1 >= REFACTOR_EVERY:
+            self._factorize()
+            return
+        pivot_row = self.binv[row] / w[row]
+        self.binv -= w[:, None] * pivot_row
+        self.binv[row] = pivot_row
+        self.etas += 1
 
     def _check_pivot_limit(self) -> None:
         if self.pivots >= PIVOT_LIMIT:
@@ -157,53 +213,36 @@ class _Simplex:
     def run(self, c: np.ndarray) -> str:
         """Iterate to optimality for objective ``c`` (maximize)."""
         A, lower, upper = self.A, self.lower, self.upper
-        total_cols = A.shape[1]
+        fixed = lower == upper
         while True:
             self._check_pivot_limit()
-            in_basis = np.zeros(total_cols, dtype=bool)
-            in_basis[self.basis] = True
             reduced = c - self._solve(c[self.basis], transpose=True) @ A
 
-            bland = self.pivots >= BLAND_AFTER
-            enter = -1
-            sigma = 0
-            best = COST_TOL
-            for j in range(total_cols):
-                if in_basis[j] or lower[j] == upper[j]:
-                    continue
-                d = reduced[j]
-                can_up = self.x[j] < upper[j]
-                can_down = self.x[j] > lower[j]
-                if can_up and d > COST_TOL:
-                    score, direction = d, 1
-                elif can_down and d < -COST_TOL:
-                    score, direction = -d, -1
-                else:
-                    continue
-                if bland:
-                    enter, sigma = j, direction
-                    break
-                if score > best:
-                    best, enter, sigma = score, j, direction
-            if enter < 0:
+            # Dantzig: the first column of largest |d_j| that can move with
+            # its sign; Bland after BLAND_AFTER pivots: the first such column
+            up = (reduced > COST_TOL) & (self.x < upper)
+            down = (reduced < -COST_TOL) & (self.x > lower)
+            score = np.where(up | down, np.abs(reduced), 0.0)
+            score[fixed] = 0.0
+            score[self.basis] = 0.0
+            enter = int(np.argmax(score > 0.0 if self.pivots >= BLAND_AFTER else score))
+            if score[enter] == 0.0:
                 return "optimal"
+            sigma = 1 if reduced[enter] > 0 else -1
 
             w = self._solve(A[:, enter])
 
             # largest step t >= 0 keeping basics and the entering variable in box
             span = upper[enter] - lower[enter]
             t_limit = span if np.isfinite(span) else np.inf
-            candidates = []  # (limit, variable index, row)
-            for r in range(self.m):
-                coef = sigma * w[r]
-                i = self.basis[r]
-                if coef > PRIMAL_PIVOT_TOL:
-                    if np.isfinite(lower[i]):
-                        candidates.append(((self.x[i] - lower[i]) / coef, i, r))
-                elif coef < -PRIMAL_PIVOT_TOL:
-                    if np.isfinite(upper[i]):
-                        candidates.append(((upper[i] - self.x[i]) / (-coef), i, r))
-            t_basic = min((c0 for c0, _, _ in candidates), default=np.inf)
+            coef = sigma * w
+            xb, lb, ub = self.x[self.basis], lower[self.basis], upper[self.basis]
+            falls = (coef > PRIMAL_PIVOT_TOL) & np.isfinite(lb)
+            rises = (coef < -PRIMAL_PIVOT_TOL) & np.isfinite(ub)
+            limit = np.full(self.m, np.inf)
+            limit[falls] = (xb[falls] - lb[falls]) / coef[falls]
+            limit[rises] = (ub[rises] - xb[rises]) / -coef[rises]
+            t_basic = limit.min(initial=np.inf)
             t = min(t_limit, t_basic)
             if not np.isfinite(t):
                 return "unbounded"
@@ -211,11 +250,11 @@ class _Simplex:
 
             if t_basic < t_limit - TIE_TOL:
                 # basis change; ties resolved toward the smallest variable index
-                hits = [(i, r) for c0, i, r in candidates if c0 <= t_basic + TIE_TOL]
-                leave_var, leave_row = min(hits)
-                coef = sigma * w[leave_row]
+                hits = np.flatnonzero(limit <= t_basic + TIE_TOL)
+                leave_row = int(hits[np.argmin(self.basis[hits])])
+                leave_var = self.basis[leave_row]
                 self._exchange(enter, sigma * t, w, leave_row,
-                               lower[leave_var] if coef > 0 else upper[leave_var])
+                               lower[leave_var] if coef[leave_row] > 0 else upper[leave_var])
             else:
                 # bound flip: snap exactly onto the opposite bound
                 self.x[self.basis] = self.x[self.basis] - sigma * t * w
@@ -226,10 +265,12 @@ class _Simplex:
         """Bounded dual simplex from ``start``: "feasible", "infeasible" or "unproven"."""
         A, lower, upper = self.A, self.lower, self.upper
         self.basis = start.basic.copy()
+        self.binv, self.etas = start.inverse.copy(), start.etas
         self.x = np.where(start.at_upper & np.isfinite(upper), upper, self.x)
         self.x[self.basis] = 0.0
         self.x[self.basis] = self._solve(self.b - A @ self.x)
         reduced = c - self._solve(c[self.basis], transpose=True) @ A
+        free = lower < upper
         while True:
             self._check_pivot_limit()
             xb = self.x[self.basis]
@@ -237,19 +278,19 @@ class _Simplex:
             worst = viol.max(initial=0.0)
             if worst <= BOUND_TOL:
                 return "feasible"
-            row = min(np.flatnonzero(viol == worst), key=lambda r: self.basis[r])
+            worst_rows = np.flatnonzero(viol == worst)
+            row = int(worst_rows[np.argmin(self.basis[worst_rows])])
             leave = self.basis[row]
             toward = 1.0 if xb[row] < lower[leave] else -1.0  # direction x_leave must move
-            rho = self._solve(np.eye(self.m)[row], transpose=True)
+            rho = self.binv[row]
             alpha = rho @ A
-            movable = lower < upper
-            movable[self.basis] = False
-            eligible = movable & (((self.x < upper) & (toward * alpha < -PIVOT_TOL))
-                                  | ((self.x > lower) & (toward * alpha > PIVOT_TOL)))
+            slope = toward * alpha
+            eligible = free & (((self.x < upper) & (slope < -PIVOT_TOL))
+                               | ((self.x > lower) & (slope > PIVOT_TOL)))
+            eligible[self.basis] = False
             if not eligible.any():
                 return "infeasible" if self.farkas(rho, row) else "unproven"
-            ratio = np.full(len(alpha), np.inf)
-            ratio[eligible] = np.abs(reduced[eligible] / alpha[eligible])
+            ratio = np.abs(np.divide(reduced, alpha, out=np.full(len(alpha), np.inf), where=eligible))
             enter = int(np.flatnonzero(ratio <= ratio.min() + TIE_TOL)[-1])
             target = lower[leave] if toward > 0 else upper[leave]
             reduced = reduced - reduced[enter] / alpha[enter] * alpha
@@ -257,7 +298,11 @@ class _Simplex:
                            self._solve(A[:, enter]), row, target)
 
     def farkas(self, rho: np.ndarray, row: int) -> bool:
-        """Whether row ``rho . A x = rho . b`` proves the box infeasible."""
+        """Whether row ``rho . A x = rho . b`` proves the box infeasible.
+
+        Noise entries of ``rho`` are dropped first; the check is a proof for
+        whichever multiplier it uses."""
+        rho = np.where(np.abs(rho) > PRIMAL_PIVOT_TOL * np.abs(rho).max(), rho, 0.0)
         g = rho @ self.A
         g[self.basis] = 0.0
         g[self.basis[row]] = 1.0
@@ -283,7 +328,9 @@ class _Simplex:
         _verify(lp, x)
         basis = None
         if (self.basis < self.n_real).all():
-            basis = Basis(self.basis.copy(), self.x[: self.n_real] == self.upper[: self.n_real])
+            self.binv.flags.writeable = False
+            basis = Basis(self.basis.copy(), self.x[: self.n_real] == self.upper[: self.n_real],
+                          self.binv, self.etas, self.data)
         return LpResult("optimal", x, float(np.dot(lp.objective, x)), spent + self.pivots, basis)
 
 
@@ -291,25 +338,28 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     """Solve the program; statuses are "optimal", "infeasible", "unbounded".
 
     ``start`` is the basis of an optimal result for a program with the same
-    rows, senses, rhs and objective; only the bounds may differ.  Optimal
+    rows, senses, rhs and objective; only the bounds may differ, and the
+    solve reuses the start's extended data and basis inverse.  Optimal
     solutions satisfy rows within 1e-7 and bounds within 1e-9; anything
     the solver cannot certify raises :class:`NumericalFailure`.
     """
-    c = np.concatenate([np.asarray(lp.objective, dtype=float), np.zeros(len(lp.senses))])
     spent = 0  # pivots of an abandoned warm start
     if start is not None:
-        state = _Simplex(lp)
+        data = start.data
+        state = _Simplex(lp, data)
         try:
-            status = state.dual(c, start)
+            status = state.dual(data.c, start)
             if status == "feasible":
-                status = state.run(c)
+                status = state.run(data.c)
             if status != "unproven":
                 return state.result(lp, status, 0)
         except NumericalFailure:
             pass
         spent = state.pivots
+    else:
+        data = Extended.of(lp)
 
-    state = _Simplex(lp)
+    state = _Simplex(lp, data)
     phase1 = state._install_start_basis()
     if phase1.any():
         status = state.run(phase1)
@@ -320,19 +370,17 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     else:
         state.seal_artificials()
 
-    c = np.concatenate([c, np.zeros(state.A.shape[1] - state.n_real)])
+    c = np.concatenate([data.c, np.zeros(state.A.shape[1] - state.n_real)])
     return state.result(lp, state.run(c), spent)
 
 
 def _verify(lp: LinearProgram, x: np.ndarray) -> None:
     if ((x < np.asarray(lp.lower) - BOUND_TOL) | (x > np.asarray(lp.upper) + BOUND_TOL)).any():
         raise NumericalFailure("solution violates variable bounds")
-    if len(lp.senses):
-        lhs = lp.rows @ x
-        for r, sense in enumerate(lp.senses):
-            err = lhs[r] - lp.rhs[r]
-            bad = (sense == "<=" and err > FEAS_TOL) or \
-                  (sense == ">=" and err < -FEAS_TOL) or \
-                  (sense == "=" and abs(err) > FEAS_TOL)
-            if bad:
-                raise NumericalFailure(f"row {r} violated by {err:.3e}")
+    err = lp.rows @ x - lp.rhs
+    capped = np.array([s != ">=" for s in lp.senses], dtype=bool)  # "<=" and "=" rows
+    floored = np.array([s != "<=" for s in lp.senses], dtype=bool)  # ">=" and "=" rows
+    bad = (capped & (err > FEAS_TOL)) | (floored & (err < -FEAS_TOL))
+    if bad.any():
+        r = int(np.argmax(bad))  # the first violated row
+        raise NumericalFailure(f"row {r} violated by {err[r]:.3e}")

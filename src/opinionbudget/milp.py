@@ -112,9 +112,11 @@ def build_milp(instance: Instance, analysis: ChainAnalysis, budget: float | None
     b = checked_budget(instance, budget)
     pay = np.flatnonzero(d.class_of >= 0)
     caps = instance.costs[pay] * (1.0 - instance.true_opinions[pay])
-    h = (d.class_of[:, None] == d.class_of[pay]).astype(float)
-    h[list(d.transient)] = analysis.hitting[d.class_of[pay]].T
-    rates = h * analysis.pi[pay] / instance.costs[pay]
+    # the hitting factor, scaled in place: one (agents x recurrent) array
+    rates = (d.class_of[:, None] == d.class_of[pay]).astype(float)
+    rates[list(d.transient)] = analysis.hitting[d.class_of[pay]].T
+    rates *= analysis.pi[pay]
+    rates /= instance.costs[pay]
     for a in (pay, caps, rates):
         a.flags.writeable = False
     return MilpInstance(instance, analysis, b, pay, caps, rates)
@@ -157,21 +159,15 @@ def _node_program(mi: MilpInstance, units, zlo, zup, objective, min_count=None) 
 
 def _branch_var(z: np.ndarray, zlo, zup) -> int | None:
     """Most fractional free indicator; ties go to the smallest index."""
-    best, best_frac = None, INT_TOL
-    for i in range(len(z)):
-        if zlo[i] == zup[i]:
-            continue
-        frac = abs(z[i] - round(z[i]))
-        if frac > best_frac:
-            best, best_frac = i, frac
-    return best
+    frac = np.where(zlo == zup, 0.0, np.abs(z - np.round(z)))
+    best = int(np.argmax(frac))  # the first of the largest
+    return best if frac[best] > INT_TOL else None
 
 
 def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x < y - SPEND_TOL or x > y + SPEND_TOL:
-            return x < y
-    return False
+    """Whether ``a`` is smaller at the first entry where the two differ by more than ``SPEND_TOL``."""
+    differ = np.flatnonzero((a < b - SPEND_TOL) | (a > b + SPEND_TOL))
+    return bool(differ.size) and bool(a[differ[0]] < b[differ[0]])
 
 
 def _min_spend_for_set(mi: MilpInstance, units, chosen: np.ndarray) -> LpResult:

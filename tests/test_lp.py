@@ -1,6 +1,7 @@
 """Bounded-variable simplex against a vertex-enumeration oracle; warm starts against cold solves."""
 
 import collections
+import functools
 import itertools
 
 import numpy as np
@@ -301,3 +302,125 @@ def test_warm_start_after_any_bound_change_matches_cold():
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
             checked += 1
     assert checked >= 300
+
+
+def _inverse_error(basis):
+    """``|B^-1 B - I|_inf`` of the inverse a basis carries."""
+    columns = basis.data.A[:, basis.basic]
+    return np.abs(basis.inverse @ columns - np.eye(len(columns))).max()
+
+
+def _warm_chains(rng):
+    """(program of the bounds it changes, lower, upper) per chain: the node
+    programs of ``_dive_programs`` over their indicator bounds, and random
+    bounded programs over all their bounds."""
+    chains = []
+    for mi, units, objective, min_count in _dive_programs(151)[::2]:
+        k = len(units)
+        chains.append((functools.partial(_node_program, mi, units, objective=objective, min_count=min_count),
+                       np.zeros(k), np.ones(k)))
+    for _ in range(12):
+        n, m = int(rng.integers(4, 9)), int(rng.integers(2, 7))
+        lower = rng.uniform(-3, 0, n)
+        upper = lower + rng.uniform(0.5, 4, n)
+        rows = rng.normal(size=(m, n))
+        rhs = rows @ rng.uniform(lower, upper) + rng.uniform(0, 1, m)
+        chains.append((functools.partial(LinearProgram, rng.normal(size=n), rows, ("<=",) * m, rhs),
+                       lower, upper))
+    return chains
+
+
+def test_carried_inverse_stays_exact_along_deep_warm_chains():
+    # every warm solve starts from the previous optimum, so the inverse is
+    # carried through more eta updates than REFACTOR_EVERY before a chain ends
+    rng = np.random.default_rng(157)
+    deepest, checked, refactored = 0, 0, 0
+    for program, lower, upper in _warm_chains(rng):
+        lo, up = lower.copy(), upper.copy()
+        parent = solve_lp(program(lo, up))
+        assert parent.status == "optimal"
+        depth = 0
+        for _ in range(100):
+            j = int(rng.integers(len(lower)))
+            a, b = np.sort(rng.uniform(lower[j], upper[j], 2))
+            lo[j], up[j] = [(lower[j], upper[j]), (lower[j], lower[j]), (upper[j], upper[j]), (a, b)][
+                int(rng.integers(4))]
+            lp = program(lo.copy(), up.copy())
+            warm, cold = solve_lp(lp, parent.basis), solve_lp(lp)
+            assert warm.status == cold.status
+            if cold.status != "optimal":
+                lo[j], up[j] = lower[j], upper[j]  # undo, so the chain goes on from this parent
+                continue
+            assert abs(warm.objective - cold.objective) <= 1e-9
+            assert warm.basis is not None and _inverse_error(warm.basis) <= 1e-9
+            depth += warm.pivots
+            deepest = max(deepest, depth)
+            refactored += warm.basis.etas < parent.basis.etas + warm.pivots
+            parent = warm
+            checked += 1
+    assert checked >= 1000
+    assert deepest > 2 * lp_module.REFACTOR_EVERY and refactored >= 10
+
+
+def test_still_optimal_start_makes_no_factorization(monkeypatch):
+    # a child whose parent optimum stays optimal pivots nowhere and neither
+    # factorizes nor solves: its basics come from one product with the carried inverse
+    inst = tiled_paper(2)
+    cm = confidence_matrix(inst)
+    an = analyze(cm, decompose(cm), inst.true_opinions)
+    mi = build_milp(inst, an, budget=169.0)
+    units = _units(an.decomposition)
+    q, k = len(mi.pay_agents), len(units)
+    objective = np.concatenate([np.zeros(q), [len(u) for u in units]])
+    root = solve_lp(_node_program(mi, units, np.zeros(k), np.ones(k), objective))
+    u = next(u for u in range(k) if q + u not in root.basis.basic)
+    zlo, zup = np.zeros(k), np.ones(k)
+    zlo[u] = zup[u] = root.x[q + u]  # fix a nonbasic unit where the parent leaves it
+    child = _node_program(mi, units, zlo, zup, objective)
+
+    calls = collections.Counter()
+    for name in ("inv", "solve", "lstsq", "pinv"):
+        def counting(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(lp_module.np.linalg, name, counting)
+    warm = solve_lp(child, root.basis)
+    assert not calls
+    assert warm.status == "optimal" and warm.pivots == 0
+    assert warm.basis.data is root.basis.data
+    assert np.array_equal(warm.basis.basic, root.basis.basic)
+    assert np.array_equal(warm.basis.inverse, root.basis.inverse)
+
+    cold = solve_lp(child)  # a cold solve factorizes once
+    assert calls == {"inv": 1}
+    assert abs(warm.objective - cold.objective) <= 1e-9
+
+
+def test_verify_reports_the_first_violated_row():
+    lp = LinearProgram(np.zeros(2), np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, -1.0]]),
+                       ("<=", ">=", "=", "<="), np.array([1.0, 5.0, 4.0, 0.0]), np.zeros(2), np.full(2, 5.0))
+    lp_module._verify(lp, np.array([1.0, 4.0 - 1e-8]))  # within FEAS_TOL of every row
+    with pytest.raises(NumericalFailure, match=r"^row 1 violated by -1\.000e-06$"):
+        lp_module._verify(lp, np.array([1.0, 4.0 - 1e-6]))  # rows 1 and 2 fail
+    with pytest.raises(NumericalFailure, match=r"^row 2 violated by 1\.000e\+00$"):
+        lp_module._verify(lp, np.array([0.0, 5.0]))  # an "=" row above its rhs
+    with pytest.raises(NumericalFailure, match=r"^row 0 violated by"):
+        lp_module._verify(lp, np.array([2.0, 2.0]))
+    with pytest.raises(NumericalFailure, match="variable bounds"):
+        lp_module._verify(lp, np.array([-1.0, 2.0]))
+
+
+def test_tie_rules_of_the_primal_iteration():
+    # Dantzig pricing takes the first of two equal reduced costs: x0 enters,
+    # and one pivot ends the solve (the last of the two takes two)
+    lp = LinearProgram(np.array([2.0, 2.0]), np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 2.0]]),
+                       ("<=",) * 3, np.array([2.0, 1.0, 2.0]), np.zeros(2), np.array([3.0, 1.0]))
+    res = solve_lp(lp)
+    assert res.pivots == 1 and np.array_equal(res.x, [1.0, 0.0])
+    # two rows block x2 at the same step: the basic of smaller index leaves
+    # (the larger one ends the solve a pivot early, on another basis)
+    lp = LinearProgram(np.array([1.0, 0.0, 2.0]),
+                       np.array([[0.0, 2.0, 2.0], [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
+                       ("<=",) * 3, np.array([2.0, 2.0, 1.0]), np.zeros(3), np.array([2.0, 1.0, 3.0]))
+    res = solve_lp(lp)
+    assert res.pivots == 2 and np.array_equal(res.x, [0.0, 0.0, 1.0])

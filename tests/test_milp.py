@@ -1,19 +1,24 @@
 """Branch-and-bound supporter maximization against the enumeration oracle."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from opinionbudget import lp as lp_module
 from opinionbudget import milp as milp_module
 from opinionbudget.chain_analysis import analyze, asymptotic_opinions, evaluate_plan
 from opinionbudget.cli import main
 from opinionbudget.decompose import decompose
 from opinionbudget.knapsack import solve_by_classes
 from opinionbudget.milp import (
+    SPEND_TOL,
     TooLarge,
+    _branch_var,
     _finish,
+    _lex_smaller,
     _node_program,
     _units,
     brute_force_oracle,
@@ -23,7 +28,8 @@ from opinionbudget.milp import (
 )
 from opinionbudget.model import confidence_matrix, validate
 
-from conftest import PAPER_EXAMPLE, full_hitting, highs_per_agent_optimum, random_instance, random_raw, tiled_paper
+from conftest import (PAPER_EXAMPLE, classes_raw, full_hitting, highs_per_agent_optimum, random_instance,
+                      random_raw, tiled_paper)
 
 
 def nonzero_payments(instance, plan):
@@ -387,3 +393,79 @@ def test_every_node_payments_are_judged_as_a_plan():
     assert fifth.supporter_count == fifth_best == 15
     assert n == 52 and ninth_best == 23
     assert ninth.optimality == "heuristic" and ninth.supporter_count >= 20
+
+
+def test_build_milp_holds_one_dense_rates_array():
+    # dense classes plus one transient agent: rates is (agents x recurrent
+    # agents), and build_milp scales its indicator array in place into it
+    raw = classes_raw(np.random.default_rng(13), 1200, budget=300.0)
+    raw["agents"].append("t")
+    raw["edges"] += [{"from": "t", "to": "t", "w": 1.0}, {"from": "t", "to": "v0", "w": 1.0}]
+    raw["opinions"].append(0.5)
+    raw["costs"].append(1.0)
+    inst = validate(raw)
+    cm = confidence_matrix(inst)
+    an = analyze(cm, decompose(cm), inst.true_opinions)
+    assert an.decomposition.transient == (1200,)
+    tracemalloc.start()
+    try:
+        mi = build_milp(inst, an)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mi.rates.shape == (1201, 1200) and mi.rates.flags.c_contiguous
+    dense = mi.rates.nbytes
+    assert peak <= 1.5 * dense, f"peak {peak / dense:.2f} dense arrays"
+
+
+def _reference_branch_var(z, zlo, zup):
+    best, best_frac = None, milp_module.INT_TOL
+    for i in range(len(z)):
+        if zlo[i] == zup[i]:
+            continue
+        frac = abs(z[i] - round(z[i]))
+        if frac > best_frac:
+            best, best_frac = i, frac
+    return best
+
+
+def _reference_lex_smaller(a, b):
+    for x, y in zip(a, b):
+        if x < y - SPEND_TOL or x > y + SPEND_TOL:
+            return x < y
+    return False
+
+
+def test_branch_var_and_lex_order_match_the_loops():
+    # ties, fixed indicators, halves (round half to even) and gaps on both
+    # sides of the tolerances
+    rng = np.random.default_rng(163)
+    for _ in range(3000):
+        k = int(rng.integers(1, 12))
+        z = rng.choice([0.0, 1.0, 0.5, 0.25, 0.75, 1e-7, 1 - 1e-7, 1e-5, 0.3], size=k)
+        z = np.where(rng.integers(3, size=k) == 0, rng.uniform(0, 1, k), z)
+        zlo = (rng.integers(4, size=k) == 0).astype(float)
+        zup = np.where(rng.integers(4, size=k) == 0, zlo, 1.0)
+        assert _branch_var(z, zlo, zup) == _reference_branch_var(z, zlo, zup)
+
+        # offsets of exactly SPEND_TOL: "|a - b| > SPEND_TOL" rounds differently there
+        a = rng.choice([0.0, 1.0, 2.5, 3.0, 0.1, 7.3], size=k)
+        b = a + rng.choice([0.0, 0.5e-9, 1e-9, -1e-9, 2e-9, -2e-9, -1.0, 1.0], size=k)
+        assert _lex_smaller(a, b) == _reference_lex_smaller(a, b)
+        assert _lex_smaller(b, a) == _reference_lex_smaller(b, a)
+
+
+def test_tiled_paper_solves_cold_only_where_no_parent_exists(monkeypatch):
+    # every warm node, infeasible ones included, is settled on the warm path
+    # with the carried inverse: only the two pass roots and the pass-2 seed
+    # of each budget start from the slack basis
+    colds = []
+    install = lp_module._Simplex._install_start_basis
+    monkeypatch.setattr(lp_module._Simplex, "_install_start_basis",
+                        lambda self: colds.append(1) or install(self))
+    inst = tiled_paper(2)
+    cm = confidence_matrix(inst)
+    an = analyze(cm, decompose(cm), inst.true_opinions)
+    sols = [solve_milp(build_milp(inst, an, budget=b)) for b in (99, 169, 293)]
+    assert [sol.supporter_count for sol in sols] == [4, 7, 13]
+    assert len(colds) == 3 * 3
