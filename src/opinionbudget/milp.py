@@ -10,7 +10,9 @@ so no global big-M constant enters the relaxation.  Every node's LP
 payments fit the budget, so each is a plan whose supporters the one rule,
 ``is_supporter``, decides.  The supporter count is optimized first; among
 maximum-count plans the cheapest payment certificate wins, ties resolved
-toward the lexicographically smallest payment vector.  Reported payments
+toward the lexicographically smallest payment vector.  The spend search
+resumes from the count search's tied and unexplored boxes, warm from its
+own root, rather than searching the whole tree again.  Reported payments
 are rounded up to whole dollars when caps and budget allow, matching the
 dollar granularity of the cost data; pass ``round_dollars=False`` for the
 raw certificate.
@@ -205,34 +207,55 @@ def _finish(mi: MilpInstance, pay_q: np.ndarray, nodes: int, proven: bool,
     return MilpSolution(plan, len(plan.supporters), "proven" if proven else "heuristic", nodes)
 
 
-def _branch_and_bound(program: LinearProgram, q: int, visit, node_limit: int) -> tuple[int, bool]:
+def _children(lower: np.ndarray, upper: np.ndarray, col: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The 0- and the 1-branch of a box on its column ``col``, the 1-branch last."""
+    upper0, lower1 = upper.copy(), lower.copy()
+    upper0[col] = 0.0
+    lower1[col] = 1.0
+    return [(lower, upper0), (lower1, upper)]
+
+
+def _branch_and_bound(program: LinearProgram, q: int, visit, node_limit: int,
+                      boxes=None) -> tuple[int, list]:
     """Depth-first branch and bound over the indicators after the ``q`` payments.
 
     ``program`` is the pass's one relaxation; a node differs from it only
     in its variable bounds and is warm started from its parent's optimal
-    basis (the root solves cold).  ``visit`` sees every optimal node, may
-    take its payments as the incumbent, and says whether to cut it.
-    Infeasible and integral nodes are leaves; otherwise the most fractional
-    indicator is branched on, its 1-branch explored first.  Returns the
-    nodes solved and whether the tree was exhausted within ``node_limit``.
+    basis (the root solves cold).  ``visit(res, lower, upper, integral)``
+    sees every optimal node with its box, may take its payments as the
+    incumbent, and says whether to cut it.  Infeasible and integral nodes
+    are leaves; otherwise the most fractional indicator is branched on, its
+    1-branch explored first.  Given ``boxes``, the root's children are those
+    (lower, upper) boxes instead, searched in order and warm started from
+    the root's basis; a box that holds the root's optimum is branched at
+    once, as the root would be.  Returns the nodes solved and the boxes
+    left unexplored at ``node_limit``, none once the tree is exhausted.
     """
     stack = [(program.lower, program.upper, None)]
     nodes = 0
     while stack:
         if nodes >= node_limit:
-            return nodes, False
+            return nodes, [(lower, upper) for lower, upper, _ in reversed(stack)]
         lower, upper, start = stack.pop()
         nodes += 1
         res = solve_lp(replace(program, lower=lower, upper=upper), start)
-        if (res.status != "optimal" or visit(res)
-                or (var := _branch_var(res.x[q:], lower[q:], upper[q:])) is None):
+        if res.status != "optimal":
             continue
-        upper0, lower1 = upper.copy(), lower.copy()
-        upper0[q + var] = 0.0
-        lower1[q + var] = 1.0
-        stack.append((lower, upper0, res.basis))  # both children share the parent's basis
-        stack.append((lower1, upper, res.basis))  # popped first: try making the unit a supporter
-    return nodes, True
+        var = _branch_var(res.x[q:], lower[q:], upper[q:])
+        if visit(res, lower, upper, var is None) or var is None:
+            continue
+        if boxes is None:
+            children = _children(lower, upper, q + var)
+        else:  # the root of a resumed search
+            children = []
+            for lo, up in reversed(boxes):
+                # a box that holds the root's optimum has it as its own: branch it without a solve
+                held = np.all(lo[q:] - INT_TOL <= res.x[q:]) and np.all(res.x[q:] <= up[q:] + INT_TOL)
+                children += _children(lo, up, q + var) if held else [(lo, up)]
+            boxes = None
+        # children share the parent's basis; the last is popped first: try making the unit a supporter
+        stack.extend((lo, up, res.basis) for lo, up in children)
+    return nodes, []
 
 
 def resolve_node_limit(node_limit: int | None = None) -> int:
@@ -253,8 +276,14 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
     """Provably optimal supporter plan by two branch-and-bound passes.
 
     The first pass maximizes the supporter count; the second minimizes
-    total spend among plans achieving that count.  Exploration order never
-    affects the result: incumbents are compared by count, then spend, then
+    total spend among plans achieving that count.  Pass 1 records every
+    box it closes with a bound at least the count of its time, and any
+    box the node limit leaves unexplored.  Pass 2 solves its own root
+    cold and then searches only the recorded boxes whose bound reaches
+    the final count, each warm from that root: pass 1's other leaves are
+    infeasible or bounded below some count it had already won, so no plan
+    with the optimal count lies in them.  Exploration order never affects
+    the result: incumbents are compared by count, then spend, then
     lexicographic payments.  If the node limit is exhausted the best
     incumbent is returned marked "heuristic".
     """
@@ -267,24 +296,32 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
     # Pass 1: maximize the number of supporters; every node's payments are a plan.
     best_won = _won(mi, reps, np.zeros(q))
     best_count = int(sizes @ best_won)
+    tied = []  # (bound, lower, upper) of closed nodes whose bound reached the count of their time
 
-    def visit_count(res):
+    def visit_count(res, lower, upper, integral):
         nonlocal best_count, best_won
         won = _won(mi, reps, res.x[:q])
         if (count := int(sizes @ won)) > best_count:
             best_count, best_won = count, won
-        return math.floor(res.objective + INT_TOL) <= best_count
+        bound = math.floor(res.objective + INT_TOL)
+        cut = bound <= best_count
+        if (cut or integral) and bound >= best_count:
+            tied.append((bound, lower, upper))
+        return cut
 
     count_lp = _node_program(mi, units, *free, np.concatenate([np.zeros(q), sizes]))
-    nodes, proven = _branch_and_bound(count_lp, q, visit_count, node_limit)
+    nodes, unexplored = _branch_and_bound(count_lp, q, visit_count, node_limit)
+    # No plan with best_count supporters lies outside these boxes: pass 1's other
+    # leaves were infeasible or bounded below a count it had already won.
+    boxes = [(lower, upper) for bound, lower, upper in tied if bound >= best_count] + unexplored
 
-    # Pass 2: cheapest certificate for the optimal count.
+    # Pass 2: cheapest certificate for the optimal count, searched only in those boxes.
     seed = _min_spend_for_set(mi, units, best_won)
     if seed.status != "optimal":
         raise RuntimeError("incumbent supporter set lost feasibility")  # pragma: no cover
     best_spend, best_pay = -seed.objective, seed.x[:q]
 
-    def visit_spend(res):
+    def visit_spend(res, *_):
         nonlocal best_spend, best_pay
         spend, pay = -res.objective, res.x[:q]
         cheaper = spend < best_spend - SPEND_TOL or (
@@ -295,8 +332,8 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
 
     spend_lp = _node_program(mi, units, *free, np.concatenate([-np.ones(q), np.zeros(len(units))]),
                              min_count=best_count)
-    more, finished = _branch_and_bound(spend_lp, q, visit_spend, node_limit - nodes)
-    return _finish(mi, best_pay, nodes + more, proven and finished, round_dollars, best_count)
+    more, left = _branch_and_bound(spend_lp, q, visit_spend, node_limit - nodes, boxes)
+    return _finish(mi, best_pay, nodes + more, not (unexplored or left), round_dollars, best_count)
 
 
 def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
@@ -344,9 +381,13 @@ def budget_sweep(instance: Instance, budgets, node_limit: int | None = None,
     cm = confidence_matrix(instance)
     analysis = analyze(cm, decompose(cm), instance.true_opinions)
 
-    def solve(b):
-        if analysis.decomposition.transient:
-            return solve_milp(build_milp(instance, analysis, budget=b), node_limit, round_dollars)
-        plan = solve_by_classes(instance, analysis, budget=b)[0]
-        return MilpSolution(plan, len(plan.supporters), "proven", 0)
+    if analysis.decomposition.transient:
+        mi = build_milp(instance, analysis)  # only the budget depends on the row
+
+        def solve(b):
+            return solve_milp(replace(mi, budget=checked_budget(instance, b)), node_limit, round_dollars)
+    else:
+        def solve(b):
+            plan = solve_by_classes(instance, analysis, budget=b)[0]
+            return MilpSolution(plan, len(plan.supporters), "proven", 0)
     return SweepCurve(tuple(values), tuple(map(solve, values)))
