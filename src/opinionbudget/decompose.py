@@ -60,53 +60,53 @@ class Decomposition:
         return tuple(out)
 
 
-def _strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to keep deep graphs off the call stack."""
+def _strongly_connected_components(adj: list[list[int]]) -> tuple[list[int], int]:
+    """Tarjan's algorithm: each state's component label, and the number of components.
+
+    Iterative, to keep deep graphs off the call stack: each frame holds a
+    state and an iterator over its remaining neighbors.  A visited state is
+    on the Tarjan stack exactly while it has no label yet.  Labels count
+    up in the order the components close.
+    """
     n = len(adj)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    comp = [-1] * n
     stack: list[int] = []
-    sccs: list[list[int]] = []
+    count = 0
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            v, next_edge = work[-1]
-            if next_edge == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbors = adj[v]
-            for k in range(next_edge, len(neighbors)):
-                w = neighbors[k]
+            v, neighbors = work[-1]
+            for w in neighbors:
                 if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return sccs
+                if comp[w] == -1 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+    return comp, count
 
 
 def decompose(cm: ConfidenceMatrix) -> Decomposition:
@@ -115,7 +115,8 @@ def decompose(cm: ConfidenceMatrix) -> Decomposition:
     An SCC is ergodic exactly when no edge leaves it.  Each state's
     neighbors are its CSR row's columns, already ascending.  The SCC
     search and the closure test (one array comparison of the components at
-    both ends of every edge) are linear in states plus edges.
+    both ends of every edge) are linear in states plus edges; one stable
+    sort of the states by component lists every class's members.
     """
     n = cm.n
     live = cm.data > 0.0  # a tiny weight can round to 0 when its row is normalized
@@ -123,28 +124,30 @@ def decompose(cm: ConfidenceMatrix) -> Decomposition:
     starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
     targets = cols.tolist()
     adj = [targets[starts[i]:starts[i + 1]] for i in range(n)]
-    sccs = _strongly_connected_components(adj)
+    labels, count = _strongly_connected_components(adj)
 
-    comp_of = np.empty(n, dtype=np.intp)
-    for c, comp in enumerate(sccs):
-        comp_of[comp] = c
+    comp_of = np.array(labels, dtype=np.intp)
     leaves = comp_of[rows] != comp_of[cols]
-    is_open = np.zeros(len(sccs), dtype=bool)
+    is_open = np.zeros(count, dtype=bool)
     is_open[comp_of[rows[leaves]]] = True
 
-    classes = []
-    transient = []
-    for comp, left in zip(sccs, is_open.tolist()):
-        if left:
-            transient.extend(comp)
-        else:
-            classes.append(tuple(sorted(comp)))
-    classes.sort(key=lambda members: members[0])
-
-    class_of = np.full(n, -1, dtype=np.intp)
-    class_of[np.concatenate(classes)] = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
+    # each component's states, ascending; a closed component's class index follows its smallest state
+    by_comp = np.argsort(comp_of, kind="stable")
+    sizes = np.bincount(comp_of)  # every label occurs
+    comp_end = np.cumsum(sizes)
+    comp_start = comp_end - sizes
+    closed = np.flatnonzero(~is_open)
+    closed = closed[np.argsort(by_comp[comp_start[closed]], kind="stable")]
+    class_index = np.full(count, -1, dtype=np.intp)
+    class_index[closed] = np.arange(closed.size)
+    class_of = class_index[comp_of]
     class_of.flags.writeable = False
-    return Decomposition(tuple(sorted(transient)), tuple(classes), class_of)
+
+    members = by_comp.tolist()
+    classes = tuple(
+        tuple(members[a:b]) for a, b in zip(comp_start[closed].tolist(), comp_end[closed].tolist())
+    )
+    return Decomposition(tuple(np.flatnonzero(class_of < 0).tolist()), classes, class_of)
 
 
 def class_blocks(cm: ConfidenceMatrix, ks, members: np.ndarray) -> np.ndarray:

@@ -3,13 +3,17 @@
 Items are ergodic classes, valued by member count and weighed by the class
 price tag in dollars.  The exact solver runs dynamic programming over the
 total value (values are small integers, weights are real dollars): one
-numpy update per item, O(items x total value) work, and one boolean
-decision table of that size from which the selection is backtracked.  Ties
-go to the lightest selection, then the lexicographically smallest; an
-integer rank per value orders the kept selections, and it is re-densified
-(one ``np.unique``) only when its values could next overflow int64, not
-after every item.  The FPTAS rescales values first and inherits the same
-DP.
+numpy update per item and one boolean decision table from which the
+selection is backtracked.  Only the values the budget can buy are filled:
+weightless classes are taken up front, and the DP stops at a cap from the
+greedy fractional (Dantzig) bound, so its cost is O(items x cap) time and
+memory, not O(items x total value).  Ties go to the lightest selection,
+then the lexicographically smallest; an integer rank per value orders the
+kept selections, spaced so that an item that takes only writes the values
+it takes, and re-densified (one ``np.unique``) only when the spacing runs
+out, not after every item.  The FPTAS rescales values first and inherits
+the same DP.  A budget sweep runs one DP, capped for its largest budget,
+and backtracks every row from it.
 """
 
 from dataclasses import dataclass
@@ -54,12 +58,16 @@ class KnapsackSolution:
 WEIGHT_TOL = 1e-9
 
 
-def _min_weight_dp(values: list[int], weights: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal weight per total value, and the decisions that reach it.
+def _min_weight_dp(
+    values: list[int], weights: list[float], cap: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal weight per total value up to ``cap``, and the decisions that reach it.
 
-    Returns ``best_w`` (``inf`` where a value is unreachable) and a boolean
-    ``take[item, value]`` table; :func:`_backtrack` reads a selection from
-    it.  Cost: O(items x total value) numpy work and one table of that size.
+    Returns ``best_w`` (``inf`` where a value is unreachable) over the
+    values ``0..cap`` and a boolean ``take[item, value]`` table;
+    :func:`_backtrack` reads a selection from it.  ``cap`` defaults to the
+    total value.  Cost: O(items x cap) numpy work and one table of that
+    size.
 
     Among equal weights the lexicographically smallest selection (items by
     input position) wins.  ``rank`` orders the current best selections,
@@ -67,42 +75,60 @@ def _min_weight_dp(values: list[int], weights: list[float]) -> tuple[np.ndarray,
     selection at ``val - v`` beats the one at ``val`` iff its rank is lower.
     Items are added in input order with the same ``prev + w`` sums as a
     per-value loop would form, so every weight is bit-identical to it.
-    Value-0 items are never taken.  Unreachable values hold the empty
-    selection, like value 0, so an ``inf`` tie is never taken either.
+    Value-0 items are never taken.  An unreachable value holds the rank
+    ``-gap``, below every selection's, so an ``inf`` tie is never taken
+    either.
 
-    Only the order of the ranks matters, not their values.  An item that
-    takes nothing leaves the ranks as they are; one that takes maps them
-    to ``2 * rank`` (taken) or ``2 * rank + 1`` (kept), which orders them
-    exactly as the same map on dense ranks would, since a rank gap of one
-    becomes a key gap of at least one.  Dense ranks are at most ``total``,
-    so after ``62 - (total + 1).bit_length()`` such doublings the keys
-    are compressed back to dense ranks with ``np.unique``, before the
-    next doubling could overflow int64.
+    Item ``i`` only updates the values from ``v_i`` up to ``reach_i``, the
+    total value of items ``0..i``, or ``cap`` if lower: every value above
+    ``reach_i`` is still unreachable.  The cap changes no entry it keeps:
+    ``best_w[val]``, ``take[:, val]`` and the order of the ranks at
+    ``val`` are formed from lower values only, so every cap at or above
+    ``val`` gives the same bits there, and so does every backtrack from
+    ``val``.
+
+    Only the order of the ranks matters, not their values.  Distinct ranks
+    lie at least ``2 * half`` apart.  An item that takes gives each value
+    it takes the rank of its source minus ``half``: that sorts just below
+    the source's own rank and above every lower rank, as extending a
+    selection by the item sorts just before the selection itself.  Kept
+    values keep their rank, and ``half`` halves.  Ranks start ``gap`` =
+    ``2**(62 - (cap + 1).bit_length())`` apart; when ``half`` reaches 0
+    they are re-densified with ``np.unique`` and spread ``gap`` apart again,
+    so no rank leaves int64.
     """
     total = sum(values)
-    best_w = np.full(total + 1, np.inf)
+    cap = total if cap is None else min(cap, total)
+    gap = 1 << (62 - (cap + 1).bit_length())
+    best_w = np.full(cap + 1, np.inf)
     best_w[0] = 0.0
-    rank = np.zeros(total + 1, dtype=np.int64)
-    take = np.zeros((len(values), total + 1), dtype=bool)
-    headroom = 62 - (total + 1).bit_length()
-    doublings = 0
+    rank = np.full(cap + 1, -gap, dtype=np.int64)
+    rank[0] = 0
+    take = np.zeros((len(values), cap + 1), dtype=bool)
+    half = gap >> 1
+    reach = 0
     for idx, (v, w) in enumerate(zip(values, weights)):
-        if v == 0:
+        reach += v
+        top = min(reach, cap) + 1  # values v .. top - 1 are updated
+        if v == 0 or top <= v:
             continue
-        cand = best_w[:-v] + w
-        cur = best_w[v:]
-        row = (cand < cur) | ((cand == cur) & (rank[:-v] < rank[v:]))
+        cand = best_w[:top - v] + w
+        cur = best_w[v:top]
+        low = rank[:top - v]
+        row = cand < cur
+        tie = cand == cur
+        if tie.any():
+            row |= tie & (low < rank[v:top])
         if not row.any():
             continue
-        take[idx, v:] = row
-        cur[row] = cand[row]
-        key = 2 * rank + 1
-        key[v:][row] = 2 * rank[:-v][row]
-        rank = key
-        doublings += 1
-        if doublings == headroom:
-            rank = np.unique(rank, return_inverse=True)[1].reshape(-1)
-            doublings = 0
+        take[idx, v:top] = row
+        np.fmin(cur, cand, out=cur)  # cand where taken; equal weights on a tie
+        np.copyto(rank[v:top], low - half, where=row)
+        half >>= 1
+        if not half:
+            keys, dense = np.unique(rank, return_inverse=True)
+            rank = (dense.reshape(-1) - int(keys[0] <= -gap)) * gap
+            half = gap >> 1
     return best_w, take
 
 
@@ -116,17 +142,72 @@ def _backtrack(take: np.ndarray, values: list[int], val: int) -> tuple[int, ...]
     return tuple(sel)
 
 
-def _select(items: list[KnapsackItem], values: list[int], budget: float) -> KnapsackSolution:
-    """Highest DP value whose minimal weight fits the budget, as a selection of ``items``."""
+def _value_cap(values: list[int], weights: list[float], budget: float) -> int:
+    """A value that no selection fitting ``budget`` exceeds, for :func:`_min_weight_dp`.
+
+    The DP answer at ``budget`` is a selection ``S`` whose weight, summed
+    in item order in floating point, is at most ``budget + WEIGHT_TOL``.
+    Its exact weight exceeds that sum by a relative error of at most
+    (items x 2**-53), far below the 1e-9 by which ``room`` inflates the
+    budget, so ``S`` is feasible in the fractional relaxation at ``room``,
+    and its value is at most that relaxation's optimum (Dantzig's bound):
+    whole items in ascending ``w / v`` order while their weights fit, and
+    the fraction of the next one that fills ``room``.  The float ratios,
+    sort and cumulative sums move that bound by far less than one, and the
+    bound is floored, so adding the largest item value keeps the result
+    above every value ``S`` can have.  Value-0 items add nothing and are
+    left out; a bound that is not finite falls back to the total value.
+    """
+    total = sum(values)
+    v = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    keep = v > 0
+    v, w = v[keep], w[keep]
+    order = np.argsort(w / v, kind="stable")
+    v, w = v[order], w[order]
+    room = (budget + WEIGHT_TOL) * (1.0 + 1e-9)
+    spent = np.cumsum(w)
+    whole = int(np.searchsorted(spent, room, side="right"))  # items that fit whole
+    if whole >= v.size:
+        return total
+    left = room - (spent[whole - 1] if whole else 0.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = v[:whole].sum() + left / w[whole] * v[whole]
+    if not np.isfinite(bound):
+        return total
+    return min(total, max(0, floor(bound) + int(v.max())))
+
+
+def _select(items: list[KnapsackItem], values: list[int], budgets: list[float]) -> list[KnapsackSolution]:
+    """Highest DP value whose minimal weight fits each budget, as a selection of ``items``.
+
+    One DP serves every budget, capped by :func:`_value_cap` at the
+    largest.  Items with ``weight == 0`` and a positive value are taken
+    without entering it.  That is exact: adding a zero weight to a sum
+    changes no bit, so by the DP's own induction the minimal weight at
+    ``value(S) + value(z)`` is at most ``S``'s weight for any selection
+    ``S`` without such an item ``z``, and the highest value that fits
+    therefore holds every ``z``.  Inserting one common set into two sorted
+    tuples of the same value keeps their lexicographic order, so the tie
+    rule picks the same selection as a DP over all items would.
+    """
     weights = [it.weight for it in items]
-    best_w, take = _min_weight_dp(values, weights)
-    fits = np.flatnonzero(best_w <= budget + WEIGHT_TOL)
-    sel = _backtrack(take, values, int(fits[-1]) if fits.size else 0)
-    return KnapsackSolution(
-        tuple(items[i].class_index for i in sel),
-        int(sum(items[i].value for i in sel)),
-        float(sum(weights[i] for i in sel)),
-    )
+    free = [i for i, (v, w) in enumerate(zip(values, weights)) if v > 0 and w == 0.0]
+    rest = sorted(set(range(len(items))) - set(free))
+    rest_v = [values[i] for i in rest]
+    rest_w = [weights[i] for i in rest]
+    best_w, take = _min_weight_dp(rest_v, rest_w, _value_cap(rest_v, rest_w, max(budgets, default=0.0)))
+    out = []
+    for budget in budgets:
+        fits = np.flatnonzero(best_w <= budget + WEIGHT_TOL)
+        picked = _backtrack(take, rest_v, int(fits[-1]) if fits.size else 0)
+        sel = sorted(free + [rest[i] for i in picked])
+        out.append(KnapsackSolution(
+            tuple(items[i].class_index for i in sel),
+            int(sum(items[i].value for i in sel)),
+            float(sum(weights[i] for i in sel)),
+        ))
+    return out
 
 
 def knapsack_exact(items: list[KnapsackItem], budget: float) -> KnapsackSolution:
@@ -135,7 +216,7 @@ def knapsack_exact(items: list[KnapsackItem], budget: float) -> KnapsackSolution
     Among selections of equal value, the lightest wins, then the
     lexicographically smallest.
     """
-    return _select(items, [it.value for it in items], budget)
+    return _select(items, [it.value for it in items], [budget])[0]
 
 
 def knapsack_fptas(items: list[KnapsackItem], budget: float, epsilon: float) -> KnapsackSolution:
@@ -155,7 +236,7 @@ def knapsack_fptas(items: list[KnapsackItem], budget: float, epsilon: float) -> 
     if scale <= 1.0:
         return knapsack_exact(fit, budget)
     # Items whose value scales to 0 are never taken by the DP.
-    return _select(fit, [floor(it.value / scale) for it in fit], budget)
+    return _select(fit, [floor(it.value / scale) for it in fit], [budget])[0]
 
 
 def _priced_classes(instance: Instance, analysis: ChainAnalysis) -> tuple[list[KnapsackItem], np.ndarray]:
@@ -183,6 +264,23 @@ def class_items(instance: Instance, analysis: ChainAnalysis) -> list[KnapsackIte
     return _priced_classes(instance, analysis)[0]
 
 
+def _pay(
+    instance: Instance, analysis: ChainAnalysis, class_payments: np.ndarray, solution: KnapsackSolution, budget: float,
+) -> PaymentPlan:
+    """The plan that pays the members of the selected classes their greedy payments."""
+    taken = np.zeros(len(analysis.decomposition.classes), dtype=bool)
+    taken[list(solution.selected)] = True
+    payments = np.where(taken[analysis.decomposition.class_of], class_payments, 0.0)
+    return evaluate_plan(instance, analysis, payments, budget=budget)
+
+
+def _no_transients(analysis: ChainAnalysis) -> None:
+    if analysis.decomposition.transient:
+        raise TransientsPresent(
+            "instance has transient states; class selection is not exact, use the MILP solver"
+        )
+
+
 def solve_by_classes(
     instance: Instance,
     analysis: ChainAnalysis,
@@ -196,15 +294,22 @@ def solve_by_classes(
     states, where class selection alone is not exact, and ``ValueError``
     on a negative or non-finite budget.
     """
-    if analysis.decomposition.transient:
-        raise TransientsPresent(
-            "instance has transient states; class selection is not exact, use the MILP solver"
-        )
+    _no_transients(analysis)
     b = checked_budget(instance, budget)
     items, class_payments = _priced_classes(instance, analysis)
     solution = knapsack_exact(items, b) if epsilon is None else knapsack_fptas(items, b, epsilon)
-    taken = np.zeros(len(items), dtype=bool)
-    taken[list(solution.selected)] = True
-    payments = np.where(taken[analysis.decomposition.class_of], class_payments, 0.0)
-    plan = evaluate_plan(instance, analysis, payments, budget=b)
-    return plan, solution
+    return _pay(instance, analysis, class_payments, solution, b), solution
+
+
+def sweep_by_classes(instance: Instance, analysis: ChainAnalysis, budgets) -> list[PaymentPlan]:
+    """:func:`solve_by_classes`' exact plan at every budget, from one pricing pass and one DP.
+
+    Each plan is bit-identical to ``solve_by_classes(instance, analysis,
+    budget=b)[0]``: the DP is capped for the largest budget, and a cap at
+    or above a row's answer leaves that row's entries unchanged.
+    """
+    _no_transients(analysis)
+    bs = [checked_budget(instance, b) for b in budgets]
+    items, class_payments = _priced_classes(instance, analysis)
+    solutions = _select(items, [it.value for it in items], bs)
+    return [_pay(instance, analysis, class_payments, sol, b) for sol, b in zip(solutions, bs)]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from opinionbudget.decompose import decompose, submatrix
-from opinionbudget.model import confidence_matrix
+from opinionbudget.model import ConfidenceMatrix, confidence_matrix, validate
 
-from conftest import csr, dense, random_instance
+from conftest import csr, dense, random_instance, random_raw
 
 
 def names(instance, indices):
@@ -166,3 +166,95 @@ def test_partition_matches_transitive_closure():
         assert d.class_of.tolist() == [
             next((k for k, c in enumerate(classes) if i in c), -1) for i in range(n)
         ]
+
+
+def reference_decompose(cm):
+    """The per-component form of :func:`decompose`: iterative Tarjan collecting
+    component lists, then a sort per class and a fancy assignment per class."""
+    n = cm.n
+    live = cm.data > 0.0
+    rows, cols = cm.rows[live], cm.indices[live]
+    starts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    targets = cols.tolist()
+    adj = [targets[starts[i]:starts[i + 1]] for i in range(n)]
+    index, low, on_stack = [-1] * n, [0] * n, [False] * n
+    stack, sccs, counter = [], [], 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, next_edge = work[-1]
+            if next_edge == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            descended = False
+            for k in range(next_edge, len(adj[v])):
+                w = adj[v][k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    descended = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+    comp_of = np.empty(n, dtype=np.intp)
+    for c, comp in enumerate(sccs):
+        comp_of[comp] = c
+    leaves = comp_of[rows] != comp_of[cols]
+    is_open = np.zeros(len(sccs), dtype=bool)
+    is_open[comp_of[rows[leaves]]] = True
+    classes, transient = [], []
+    for comp, left in zip(sccs, is_open.tolist()):
+        if left:
+            transient.extend(comp)
+        else:
+            classes.append(tuple(sorted(comp)))
+    classes.sort(key=lambda members: members[0])
+    class_of = np.full(n, -1, dtype=np.intp)
+    for k, members in enumerate(classes):
+        class_of[list(members)] = k
+    return tuple(sorted(transient)), tuple(classes), class_of
+
+
+def assert_same_decomposition(cm):
+    d = decompose(cm)
+    transient, classes, class_of = reference_decompose(cm)
+    assert (d.transient, d.classes) == (transient, classes)
+    assert all(type(i) is int for i in (*d.transient, *(i for c in d.classes for i in c)))
+    assert d.class_of.dtype == np.intp and not d.class_of.flags.writeable
+    assert d.class_of.tobytes() == class_of.tobytes()
+
+
+def test_decompose_matches_the_per_component_reference():
+    rng = np.random.default_rng(173)
+    for t in range(300):
+        assert_same_decomposition(confidence_matrix(validate(random_raw(rng, 2, 400 if t % 10 == 0 else 40))))
+
+
+def test_decompose_long_chain():
+    """States 0 -> 1 -> ... -> 4999, the last absorbing: 4,999 transient states
+    in one depth-first path, which must stay off the call stack."""
+    n = 5000
+    indptr = np.concatenate(([0], np.cumsum([2] * (n - 1) + [1])))
+    indices = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1).ravel()[:-1]
+    cm = ConfidenceMatrix(indptr, indices, np.concatenate([np.full(2 * (n - 1), 0.5), [1.0]]))
+    assert_same_decomposition(cm)
+    d = decompose(cm)
+    assert d.classes == ((n - 1,),) and d.transient == tuple(range(n - 1))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,14 +16,16 @@ from opinionbudget.knapsack import (
     TransientsPresent,
     _backtrack,
     _min_weight_dp,
+    _value_cap,
     class_items,
     knapsack_exact,
     knapsack_fptas,
     solve_by_classes,
 )
+from opinionbudget.milp import budget_sweep
 from opinionbudget.model import confidence_matrix, validate
 
-from conftest import random_instance
+from conftest import classes_raw, random_instance
 
 PAPER_ITEMS = [KnapsackItem(0, 3, 210.0), KnapsackItem(1, 4, 99.0)]
 
@@ -346,3 +349,126 @@ def test_fptas_matches_reference_through_rank_compression():
         scaled = [math.floor(v / scale) for v in values]
         sel = _reference_pick(scaled, weights, budget)
         assert knapsack_fptas(items, budget, eps).selected == sel
+
+
+def _fits(best_w, budget):
+    """The DP's answer value at ``budget``."""
+    return int(np.flatnonzero(best_w <= budget + WEIGHT_TOL)[-1])
+
+
+def test_capped_dp_is_the_uncapped_prefix():
+    rng = np.random.default_rng(137)
+    lists = [*tie_heavy_lists(rng, 300), *long_tie_lists(rng, 3)]
+    for values, weights in lists:
+        best_w, take = _min_weight_dp(values, weights)
+        total = sum(values)
+        answer = _fits(best_w, float(rng.uniform(0, sum(weights) + 1)))
+        short = total < 100
+        for cap in range(answer, total + 1):
+            capped_w, capped_take = _min_weight_dp(values, weights, cap)
+            assert capped_w.tobytes() == best_w[:cap + 1].tobytes()
+            assert capped_take.tobytes() == take[:, :cap + 1].tobytes()
+            for val in range(cap + 1) if short else ():
+                assert _backtrack(capped_take, values, val) == _backtrack(take, values, val)
+
+
+def weightless_lists(rng, count):
+    """Short lists with weightless items (+0.0 and -0.0), equal value/weight
+    ratios and a mix of large and small values, each with the budgets 0,
+    the weight of one selection summed in item order, and the total."""
+    for t in range(count):
+        n = int(rng.integers(0, 11))
+        values = [int(v) for v in rng.choice([1, 2, 3, 5, 40, 150, 400], n)]
+        kind = t % 3
+        if kind == 0:
+            weights = [float(w) for w in rng.choice([0.0, -0.0, 1.0, 2.5, float(rng.uniform(0, 5))], n)]
+        elif kind == 1:  # equal ratios
+            ratios = rng.choice([0.0, -0.0, 0.5, 1.5], n)
+            weights = [float(r * v) for r, v in zip(ratios, values)]
+        else:
+            weights = [float(w) for w in rng.uniform(0, 10, n) * (rng.random(n) < 0.7)]
+            weights = [-0.0 if w == 0.0 and rng.random() < 0.5 else w for w in weights]
+        chosen = 0.0
+        for i in range(n):
+            if rng.random() < 0.5:
+                chosen += weights[i]
+        yield values, weights, (0.0, chosen, sum(weights))
+
+
+def test_exact_and_fptas_match_reference_with_weightless_items():
+    rng = np.random.default_rng(139)
+    scaled_zero = 0
+    for values, weights, budgets in weightless_lists(rng, 2100):
+        items = [KnapsackItem(i, v, w) for i, (v, w) in enumerate(zip(values, weights))]
+        for budget in budgets:
+            sol = knapsack_exact(items, budget)
+            sel = _reference_pick(values, weights, budget)
+            assert sol.selected == sel
+            assert sol.total_weight.hex() == float(sum(weights[i] for i in sel)).hex()
+            fit = [it for it in items if it.weight <= budget + WEIGHT_TOL]
+            if not fit:
+                continue
+            scale = 0.5 * max(it.value for it in fit) / len(fit)
+            scaled = [math.floor(it.value / scale) for it in fit] if scale > 1.0 else [it.value for it in fit]
+            scaled_zero += 0 in scaled
+            sel = _reference_pick(scaled, [it.weight for it in fit], budget)
+            assert knapsack_fptas(items, budget, 0.5).selected == tuple(fit[i].class_index for i in sel)
+    assert scaled_zero > 500
+
+
+def test_value_cap_is_never_below_the_answer():
+    rng = np.random.default_rng(149)
+    cases = [(v, w) for v, w, _ in weightless_lists(rng, 600)]
+    cases += [(v, w) for v, w in tie_heavy_lists(rng, 600)]
+    cases += [([int(v) for v in rng.integers(1, 7, 300)], [float(w) for w in rng.uniform(0, 10, 300)])
+              for _ in range(5)]
+    for values, weights in cases:
+        best_w, _ = _min_weight_dp(values, weights)
+        reachable = best_w[np.isfinite(best_w)]
+        for budget in (0.0, *rng.choice(reachable, 3).tolist(), float(rng.uniform(0, sum(weights) + 1)),
+                       sum(weights)):
+            assert _value_cap(values, weights, budget) >= _fits(best_w, budget)
+
+
+def test_solve_by_classes_memory_is_bounded_by_the_budget():
+    """The DP fills only the values 0.1 of the total class price can buy:
+    a 2.3 MB peak on this 5,000-agent instance, against 7.4 MB when the
+    DP fills every value."""
+    instance = validate(classes_raw(np.random.default_rng(160), 5000))
+    cm = confidence_matrix(instance)
+    analysis = analyze(cm, decompose(cm), instance.true_opinions)
+    budget = 0.1 * sum(it.weight for it in class_items(instance, analysis))
+    tracemalloc.start()
+    try:
+        solve_by_classes(instance, analysis, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
+
+
+def test_sweep_prices_once_and_runs_one_dp(monkeypatch):
+    prices, dps = [], []
+    price, dp = knapsack.min_budget_stack, knapsack._min_weight_dp
+
+    def counting_price(pi, *args):
+        prices.append(len(pi))
+        return price(pi, *args)
+
+    def counting_dp(*args):
+        dps.append(1)
+        return dp(*args)
+
+    monkeypatch.setattr(knapsack, "min_budget_stack", counting_price)
+    monkeypatch.setattr(knapsack, "_min_weight_dp", counting_dp)
+    rng = np.random.default_rng(157)
+    for _ in range(20):
+        inst = no_transient_instance(rng)
+        cm = confidence_matrix(inst)
+        an = analyze(cm, decompose(cm), inst.true_opinions)
+        prices.clear()
+        dps.clear()
+        curve = budget_sweep(inst, sorted(rng.uniform(0, 2 * inst.budget + 1, 4)))
+        assert len(curve.solutions) == 4
+        assert len(dps) == 1
+        assert len(prices) == len(set(an.decomposition.sizes))
