@@ -57,43 +57,6 @@ def _influence_order(pi: np.ndarray, costs: np.ndarray) -> list[int]:
     return sorted(range(len(pi)), key=cmp_to_key(cmp))
 
 
-#: Largest ``rows x m x m`` comparison block :func:`_influence_orders` builds at once.
-ORDER_BLOCK = 1 << 15
-
-
-def _influence_orders(pi: np.ndarray, costs: np.ndarray) -> np.ndarray:
-    """:func:`_influence_order` of every row of a ``(count, m)`` stack.
-
-    Member ``a``'s place is the number of members that precede it, by the
-    same cross-products and index ties, all compared in ``(rows, m, m)``
-    blocks.  When the comparisons of a row are transitive, those counts
-    are a permutation, and the only order a sort can return.  A row whose
-    counts are not a permutation (rounding made the products cyclic) and
-    classes too large for one block are sorted by :func:`_influence_order`.
-    """
-    count, m = pi.shape
-    order = np.empty((count, m), dtype=np.intp)
-    step = ORDER_BLOCK // (m * m)
-    if not step:
-        for r in range(count):
-            order[r] = _influence_order(pi[r], costs[r])
-        return order
-    idx = np.arange(m)
-    index_tie = idx < idx[:, None]  # [a, b]: b < a
-    for lo in range(0, count, step):
-        p, c = pi[lo:lo + step], costs[lo:lo + step]
-        own = p[:, :, None] * c[:, None, :]  # [r, a, b] = pi_a * c_b
-        other = own.transpose(0, 2, 1)  # pi_b * c_a
-        place = ((other > own) | ((other == own) & index_tie)).sum(axis=2)  # members before a
-        block = np.arange(len(p))[:, None]
-        order[lo + block, place] = idx
-        seen = np.zeros(place.shape, dtype=bool)
-        seen[block, place] = True
-        for r in np.flatnonzero(~seen.all(axis=1)).tolist():
-            order[lo + r] = _influence_order(pi[lo + r], costs[lo + r])
-    return order
-
-
 def min_budget_stack(
     pi: np.ndarray,
     opinions: np.ndarray,
@@ -119,7 +82,7 @@ def min_budget_stack(
     need = np.flatnonzero(~(consensus_stack(pi, opinions) >= threshold))
     if not need.size:
         return payments, critical
-    order = _influence_orders(pi[need], costs[need])
+    order = np.array([_influence_order(pi[r], costs[r]) for r in need.tolist()], dtype=np.intp)
     rows = np.arange(need.size)
     p, x, c = (a[need[:, None], order] for a in (pi, opinions, costs))
 

@@ -12,8 +12,7 @@ then the lexicographically smallest; an integer rank per value orders the
 kept selections, spaced so that an item that takes only writes the values
 it takes, and re-densified (one ``np.unique``) only when the spacing runs
 out, not after every item.  The FPTAS rescales values first and inherits
-the same DP.  A budget sweep runs one DP, capped for its largest budget,
-and backtracks every row from it.
+the same DP.
 """
 
 from dataclasses import dataclass
@@ -178,36 +177,36 @@ def _value_cap(values: list[int], weights: list[float], budget: float) -> int:
     return min(total, max(0, floor(bound) + int(v.max())))
 
 
-def _select(items: list[KnapsackItem], values: list[int], budgets: list[float]) -> list[KnapsackSolution]:
-    """Highest DP value whose minimal weight fits each budget, as a selection of ``items``.
+def _select(items: list[KnapsackItem], values: list[int], budget: float) -> KnapsackSolution:
+    """Highest DP value whose minimal weight fits the budget, as a selection of ``items``.
 
-    One DP serves every budget, capped by :func:`_value_cap` at the
-    largest.  Items with ``weight == 0`` and a positive value are taken
-    without entering it.  That is exact: adding a zero weight to a sum
-    changes no bit, so by the DP's own induction the minimal weight at
-    ``value(S) + value(z)`` is at most ``S``'s weight for any selection
-    ``S`` without such an item ``z``, and the highest value that fits
-    therefore holds every ``z``.  Inserting one common set into two sorted
-    tuples of the same value keeps their lexicographic order, so the tie
-    rule picks the same selection as a DP over all items would.
+    The DP is capped by :func:`_value_cap`.  When the empty selection fits,
+    items with ``weight == 0`` and a positive value are taken without
+    entering it.  That is exact: adding a zero weight to a sum changes no
+    bit, so by the DP's own induction the minimal weight at ``value(S) +
+    value(z)`` is at most ``S``'s weight for any selection ``S`` without
+    such an item ``z``, and the highest value that fits therefore holds
+    every ``z``.  Inserting one common set into two sorted tuples of the
+    same value keeps their lexicographic order, so the tie rule picks the
+    same selection as a DP over all items would.  When not even the empty
+    selection fits, nothing is taken.
     """
     weights = [it.weight for it in items]
-    free = [i for i, (v, w) in enumerate(zip(values, weights)) if v > 0 and w == 0.0]
+    free = []
+    if 0.0 <= budget + WEIGHT_TOL:
+        free = [i for i, (v, w) in enumerate(zip(values, weights)) if v > 0 and w == 0.0]
     rest = sorted(set(range(len(items))) - set(free))
     rest_v = [values[i] for i in rest]
     rest_w = [weights[i] for i in rest]
-    best_w, take = _min_weight_dp(rest_v, rest_w, _value_cap(rest_v, rest_w, max(budgets, default=0.0)))
-    out = []
-    for budget in budgets:
-        fits = np.flatnonzero(best_w <= budget + WEIGHT_TOL)
-        picked = _backtrack(take, rest_v, int(fits[-1]) if fits.size else 0)
-        sel = sorted(free + [rest[i] for i in picked])
-        out.append(KnapsackSolution(
-            tuple(items[i].class_index for i in sel),
-            int(sum(items[i].value for i in sel)),
-            float(sum(weights[i] for i in sel)),
-        ))
-    return out
+    best_w, take = _min_weight_dp(rest_v, rest_w, _value_cap(rest_v, rest_w, budget))
+    fits = np.flatnonzero(best_w <= budget + WEIGHT_TOL)
+    picked = _backtrack(take, rest_v, int(fits[-1]) if fits.size else 0)
+    sel = sorted(free + [rest[i] for i in picked])
+    return KnapsackSolution(
+        tuple(items[i].class_index for i in sel),
+        int(sum(items[i].value for i in sel)),
+        float(sum(weights[i] for i in sel)),
+    )
 
 
 def knapsack_exact(items: list[KnapsackItem], budget: float) -> KnapsackSolution:
@@ -216,7 +215,7 @@ def knapsack_exact(items: list[KnapsackItem], budget: float) -> KnapsackSolution
     Among selections of equal value, the lightest wins, then the
     lexicographically smallest.
     """
-    return _select(items, [it.value for it in items], [budget])[0]
+    return _select(items, [it.value for it in items], budget)
 
 
 def knapsack_fptas(items: list[KnapsackItem], budget: float, epsilon: float) -> KnapsackSolution:
@@ -236,7 +235,7 @@ def knapsack_fptas(items: list[KnapsackItem], budget: float, epsilon: float) -> 
     if scale <= 1.0:
         return knapsack_exact(fit, budget)
     # Items whose value scales to 0 are never taken by the DP.
-    return _select(fit, [floor(it.value / scale) for it in fit], [budget])[0]
+    return _select(fit, [floor(it.value / scale) for it in fit], budget)
 
 
 def _priced_classes(instance: Instance, analysis: ChainAnalysis) -> tuple[list[KnapsackItem], np.ndarray]:
@@ -264,23 +263,6 @@ def class_items(instance: Instance, analysis: ChainAnalysis) -> list[KnapsackIte
     return _priced_classes(instance, analysis)[0]
 
 
-def _pay(
-    instance: Instance, analysis: ChainAnalysis, class_payments: np.ndarray, solution: KnapsackSolution, budget: float,
-) -> PaymentPlan:
-    """The plan that pays the members of the selected classes their greedy payments."""
-    taken = np.zeros(len(analysis.decomposition.classes), dtype=bool)
-    taken[list(solution.selected)] = True
-    payments = np.where(taken[analysis.decomposition.class_of], class_payments, 0.0)
-    return evaluate_plan(instance, analysis, payments, budget=budget)
-
-
-def _no_transients(analysis: ChainAnalysis) -> None:
-    if analysis.decomposition.transient:
-        raise TransientsPresent(
-            "instance has transient states; class selection is not exact, use the MILP solver"
-        )
-
-
 def solve_by_classes(
     instance: Instance,
     analysis: ChainAnalysis,
@@ -294,22 +276,15 @@ def solve_by_classes(
     states, where class selection alone is not exact, and ``ValueError``
     on a negative or non-finite budget.
     """
-    _no_transients(analysis)
+    if analysis.decomposition.transient:
+        raise TransientsPresent(
+            "instance has transient states; class selection is not exact, use the MILP solver"
+        )
     b = checked_budget(instance, budget)
     items, class_payments = _priced_classes(instance, analysis)
     solution = knapsack_exact(items, b) if epsilon is None else knapsack_fptas(items, b, epsilon)
-    return _pay(instance, analysis, class_payments, solution, b), solution
-
-
-def sweep_by_classes(instance: Instance, analysis: ChainAnalysis, budgets) -> list[PaymentPlan]:
-    """:func:`solve_by_classes`' exact plan at every budget, from one pricing pass and one DP.
-
-    Each plan is bit-identical to ``solve_by_classes(instance, analysis,
-    budget=b)[0]``: the DP is capped for the largest budget, and a cap at
-    or above a row's answer leaves that row's entries unchanged.
-    """
-    _no_transients(analysis)
-    bs = [checked_budget(instance, b) for b in budgets]
-    items, class_payments = _priced_classes(instance, analysis)
-    solutions = _select(items, [it.value for it in items], bs)
-    return [_pay(instance, analysis, class_payments, sol, b) for sol, b in zip(solutions, bs)]
+    taken = np.zeros(len(items), dtype=bool)
+    taken[list(solution.selected)] = True
+    payments = np.where(taken[analysis.decomposition.class_of], class_payments, 0.0)
+    plan = evaluate_plan(instance, analysis, payments, budget=b)
+    return plan, solution

@@ -26,7 +26,7 @@ import numpy as np
 
 from .chain_analysis import ChainAnalysis, analyze, checked_budget, evaluate_plan, is_supporter
 from .decompose import Decomposition, decompose
-from .knapsack import sweep_by_classes
+from .knapsack import solve_by_classes
 from .lp import LinearProgram, LpResult, solve_lp
 from .model import Instance, PaymentPlan, confidence_matrix
 
@@ -373,8 +373,7 @@ def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
 def budget_sweep(instance: Instance, budgets, node_limit: int | None = None,
                  round_dollars: bool = True) -> SweepCurve:
     """Solve the supporter problem along an ascending budget grid; without transient states
-    each row is ``solve_by_classes`` at its budget, all from one class DP (``node_limit``
-    checked, ``round_dollars`` unused)."""
+    each row is ``solve_by_classes`` at its budget (``node_limit`` checked, ``round_dollars`` unused)."""
     values = [float(b) for b in budgets]
     if any(b2 < b1 for b1, b2 in zip(values, values[1:])):
         raise ValueError("budgets must be sorted ascending")
@@ -387,6 +386,8 @@ def budget_sweep(instance: Instance, budgets, node_limit: int | None = None,
 
         def solve(b):
             return solve_milp(replace(mi, budget=checked_budget(instance, b)), node_limit, round_dollars)
-        return SweepCurve(tuple(values), tuple(map(solve, values)))
-    plans = sweep_by_classes(instance, analysis, values)
-    return SweepCurve(tuple(values), tuple(MilpSolution(p, len(p.supporters), "proven", 0) for p in plans))
+    else:
+        def solve(b):
+            plan = solve_by_classes(instance, analysis, budget=b)[0]
+            return MilpSolution(plan, len(plan.supporters), "proven", 0)
+    return SweepCurve(tuple(values), tuple(map(solve, values)))

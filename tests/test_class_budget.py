@@ -5,12 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from opinionbudget import class_budget
 from opinionbudget.class_budget import (
     InfeasibleThreshold,
     TargetOutOfRange,
     _influence_order,
-    _influence_orders,
     class_cost_curve,
     min_budget_for_class,
     min_budget_stack,
@@ -230,42 +228,3 @@ def test_stacked_pricing_matches_the_scalar_loop_bitwise():
                     assert single.payments.tobytes() == ref_pay.tobytes()
                     assert single.critical_item == ref_crit
                     assert single.total.hex() == ref_total.hex()
-
-
-#: Rows whose cross-products compare cyclically after rounding: member 0
-#: before 1, 1 before 2 and 2 before 0.
-CYCLIC_ROWS = (
-    ([13.65103366374467, 6.883418642412264, 17.52306035119287],
-     [7.267713310344029, 3.664683167619324, 9.329152801853947]),
-    ([5.281103969062765, 10.571206659739609, 11.220585202093057],
-     [3.817647438503159, 7.641799946158722, 8.111227994414799]),
-)
-
-
-def test_batched_influence_order_is_the_sort_row_by_row(monkeypatch):
-    rng = np.random.default_rng(163)
-    stacks = [stack(rng, 50, m)[::2] for m in range(1, 9) for stack in (tie_heavy_stack, random_stack)]
-    pi, costs = (np.array(a) for a in zip(*CYCLIC_ROWS))
-    stacks.append((pi, costs))
-    for pi, costs in stacks:
-        expected = [_influence_order(pi[r], costs[r]) for r in range(len(pi))]
-        assert _influence_orders(pi, costs).tolist() == expected
-        monkeypatch.setattr(class_budget, "ORDER_BLOCK", 1)  # every row takes the fallback
-        assert _influence_orders(pi, costs).tolist() == expected
-        monkeypatch.undo()
-
-
-def test_cyclic_rows_fall_back_to_the_sort(monkeypatch):
-    calls = []
-
-    def counting(pi, costs):
-        calls.append(1)
-        return _influence_order(pi, costs)
-
-    monkeypatch.setattr(class_budget, "_influence_order", counting)
-    rng = np.random.default_rng(167)
-    pi, _, costs = random_stack(rng, 10, 3)
-    pi[[2, 7]], costs[[2, 7]] = (np.array(a) for a in zip(*CYCLIC_ROWS))
-    order = _influence_orders(pi, costs)
-    assert len(calls) == 2
-    assert order.tolist() == [_influence_order(pi[r], costs[r]) for r in range(10)]

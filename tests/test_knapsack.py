@@ -22,7 +22,6 @@ from opinionbudget.knapsack import (
     knapsack_fptas,
     solve_by_classes,
 )
-from opinionbudget.milp import budget_sweep
 from opinionbudget.model import confidence_matrix, validate
 
 from conftest import classes_raw, random_instance
@@ -400,9 +399,10 @@ def test_exact_and_fptas_match_reference_with_weightless_items():
     scaled_zero = 0
     for values, weights, budgets in weightless_lists(rng, 2100):
         items = [KnapsackItem(i, v, w) for i, (v, w) in enumerate(zip(values, weights))]
-        for budget in budgets:
+        for budget in (*budgets, -1.0, -2 * WEIGHT_TOL, math.nan):
             sol = knapsack_exact(items, budget)
-            sel = _reference_pick(values, weights, budget)
+            # Below -WEIGHT_TOL or at NaN not even the empty selection fits.
+            sel = _reference_pick(values, weights, budget) if 0.0 <= budget + WEIGHT_TOL else ()
             assert sol.selected == sel
             assert sol.total_weight.hex() == float(sum(weights[i] for i in sel)).hex()
             fit = [it for it in items if it.weight <= budget + WEIGHT_TOL]
@@ -446,29 +446,3 @@ def test_solve_by_classes_memory_is_bounded_by_the_budget():
         tracemalloc.stop()
     assert peak <= 3 * 2**20
 
-
-def test_sweep_prices_once_and_runs_one_dp(monkeypatch):
-    prices, dps = [], []
-    price, dp = knapsack.min_budget_stack, knapsack._min_weight_dp
-
-    def counting_price(pi, *args):
-        prices.append(len(pi))
-        return price(pi, *args)
-
-    def counting_dp(*args):
-        dps.append(1)
-        return dp(*args)
-
-    monkeypatch.setattr(knapsack, "min_budget_stack", counting_price)
-    monkeypatch.setattr(knapsack, "_min_weight_dp", counting_dp)
-    rng = np.random.default_rng(157)
-    for _ in range(20):
-        inst = no_transient_instance(rng)
-        cm = confidence_matrix(inst)
-        an = analyze(cm, decompose(cm), inst.true_opinions)
-        prices.clear()
-        dps.clear()
-        curve = budget_sweep(inst, sorted(rng.uniform(0, 2 * inst.budget + 1, 4)))
-        assert len(curve.solutions) == 4
-        assert len(dps) == 1
-        assert len(prices) == len(set(an.decomposition.sizes))
