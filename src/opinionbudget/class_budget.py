@@ -71,7 +71,9 @@ def min_budget_stack(
     consensus already reaches ``threshold``).  Every row goes through the
     same scalar steps, in the same order, as a loop over one class would:
     the consensi are ``ddot`` products (:func:`consensus_stack`), and the
-    walk down the greedy order is one elementwise step per position.
+    payments and the remaining consensus down the greedy order are running
+    sums (``np.add.accumulate``, ``np.subtract.accumulate``), which add and
+    subtract in that order.
     """
     if threshold > 1.0 + OPINION_TOL:
         raise InfeasibleThreshold(f"target consensus {threshold} exceeds 1")
@@ -88,23 +90,17 @@ def min_budget_stack(
 
     # value(t) = consensus after paying the first t agents in greedy order
     # to opinion 1; the critical item is the first t where it crosses, and
-    # (paid, rest) are kept from just before it.
-    paid = np.zeros(need.size)
-    rest = consensus_stack(p, x)
-    crit = np.full(need.size, m - 1)
-    crit_paid, crit_rest = np.empty(need.size), np.empty(need.size)
-    searching = np.ones(need.size, dtype=bool)
-    for pos in range(m):
-        before_paid, before_rest = paid, rest
-        paid = paid + p[:, pos]
-        rest = rest - p[:, pos] * x[:, pos]
-        hit = searching & (paid + rest >= threshold)
-        crit[hit] = pos
-        crit_paid[hit], crit_rest[hit] = before_paid[hit], before_rest[hit]
-        searching &= ~hit
+    # (paid, rest) are kept from just before it.  Column t of the running
+    # sums is the state after t agents; each sums in the greedy order.
+    paid = np.add.accumulate(np.hstack([np.zeros((need.size, 1)), p]), axis=1)
+    rest = np.subtract.accumulate(np.hstack([consensus_stack(p, x)[:, None], p * x]), axis=1)
+    hits = paid[:, 1:] + rest[:, 1:] >= threshold
+    found = hits.any(axis=1)
+    crit = np.where(found, hits.argmax(axis=1), m - 1)
+    crit_paid, crit_rest = paid[rows, crit], rest[rows, crit]
     # float undershoot with threshold == 1: treat the last as critical
-    crit_paid[searching] = paid[searching] - p[searching, -1]
-    crit_rest[searching] = rest[searching] + p[searching, -1] * x[searching, -1]
+    crit_paid[~found] = paid[~found, -1] - p[~found, -1]
+    crit_rest[~found] = rest[~found, -1] + p[~found, -1] * x[~found, -1]
 
     cap = c * (1.0 - x)
     paid_sorted = np.where(np.arange(m) < crit[:, None], cap, 0.0)

@@ -17,8 +17,9 @@ nonbasics at their upper bound, ``B^-1`` with its update count, and the
 program's bound-independent data (``[rows | I]``, ``b``, the costs and the
 slack bounds), which the cold solve builds once and every warm start
 shares.  A program that differs only in its bounds starts from it without
-a rebuild or a factorization.  Nonbasics go onto their new bounds, one
-product ``B^-1 (b - N x_N)`` recomputes the basics, and a bounded dual
+a rebuild or a factorization; :func:`crash_basis` builds such a start from
+chosen basic columns.  Nonbasics go onto their new bounds, one product
+``B^-1 (b - N x_N)`` recomputes the basics, and a bounded dual
 simplex drops the basic with the largest bound violation (ties to the
 smallest variable index) for the column of smallest ``|d_j / alpha_j|``
 that moves it toward its bound.  Ties go to the largest index, so a slack
@@ -34,6 +35,7 @@ the same pivots and the same result.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -167,7 +169,7 @@ class _Simplex:
         slack = np.arange(self.n, self.n_real)
         fits = (self.lower[slack] <= residual) & (residual <= self.upper[slack])
         self.x[slack[fits]] = residual[fits]
-        art = np.flatnonzero(~fits)  # rows that need an artificial
+        art = (~fits).nonzero()[0]  # rows that need an artificial
         up = residual[art] >= 0
         self.basis = slack
         self.basis[art] = self.n_real + np.arange(len(art))
@@ -214,6 +216,7 @@ class _Simplex:
         """Iterate to optimality for objective ``c`` (maximize)."""
         A, lower, upper = self.A, self.lower, self.upper
         fixed = lower == upper
+        limit = np.empty(self.m)
         while True:
             self._check_pivot_limit()
             reduced = c - self._solve(c[self.basis], transpose=True) @ A
@@ -225,7 +228,7 @@ class _Simplex:
             score = np.where(up | down, np.abs(reduced), 0.0)
             score[fixed] = 0.0
             score[self.basis] = 0.0
-            enter = int(np.argmax(score > 0.0 if self.pivots >= BLAND_AFTER else score))
+            enter = int((score > 0.0 if self.pivots >= BLAND_AFTER else score).argmax())
             if score[enter] == 0.0:
                 return "optimal"
             sigma = 1 if reduced[enter] > 0 else -1
@@ -239,7 +242,7 @@ class _Simplex:
             xb, lb, ub = self.x[self.basis], lower[self.basis], upper[self.basis]
             falls = (coef > PRIMAL_PIVOT_TOL) & np.isfinite(lb)
             rises = (coef < -PRIMAL_PIVOT_TOL) & np.isfinite(ub)
-            limit = np.full(self.m, np.inf)
+            limit.fill(np.inf)
             limit[falls] = (xb[falls] - lb[falls]) / coef[falls]
             limit[rises] = (ub[rises] - xb[rises]) / -coef[rises]
             t_basic = limit.min(initial=np.inf)
@@ -250,8 +253,8 @@ class _Simplex:
 
             if t_basic < t_limit - TIE_TOL:
                 # basis change; ties resolved toward the smallest variable index
-                hits = np.flatnonzero(limit <= t_basic + TIE_TOL)
-                leave_row = int(hits[np.argmin(self.basis[hits])])
+                hits = (limit <= t_basic + TIE_TOL).nonzero()[0]
+                leave_row = int(hits[self.basis[hits].argmin()])
                 leave_var = self.basis[leave_row]
                 self._exchange(enter, sigma * t, w, leave_row,
                                lower[leave_var] if coef[leave_row] > 0 else upper[leave_var])
@@ -271,6 +274,7 @@ class _Simplex:
         self.x[self.basis] = self._solve(self.b - A @ self.x)
         reduced = c - self._solve(c[self.basis], transpose=True) @ A
         free = lower < upper
+        ratio = np.empty(len(free))
         while True:
             self._check_pivot_limit()
             xb = self.x[self.basis]
@@ -278,8 +282,8 @@ class _Simplex:
             worst = viol.max(initial=0.0)
             if worst <= BOUND_TOL:
                 return "feasible"
-            worst_rows = np.flatnonzero(viol == worst)
-            row = int(worst_rows[np.argmin(self.basis[worst_rows])])
+            worst_rows = (viol == worst).nonzero()[0]
+            row = int(worst_rows[self.basis[worst_rows].argmin()])
             leave = self.basis[row]
             toward = 1.0 if xb[row] < lower[leave] else -1.0  # direction x_leave must move
             rho = self.binv[row]
@@ -290,8 +294,9 @@ class _Simplex:
             eligible[self.basis] = False
             if not eligible.any():
                 return "infeasible" if self.farkas(rho, row) else "unproven"
-            ratio = np.abs(np.divide(reduced, alpha, out=np.full(len(alpha), np.inf), where=eligible))
-            enter = int(np.flatnonzero(ratio <= ratio.min() + TIE_TOL)[-1])
+            ratio.fill(np.inf)
+            np.abs(np.divide(reduced, alpha, out=ratio, where=eligible), out=ratio)
+            enter = int((ratio <= ratio.min() + TIE_TOL).nonzero()[0][-1])
             target = lower[leave] if toward > 0 else upper[leave]
             reduced = reduced - reduced[enter] / alpha[enter] * alpha
             self._exchange(enter, (xb[row] - target) / alpha[enter],
@@ -306,7 +311,7 @@ class _Simplex:
         g = rho @ self.A
         g[self.basis] = 0.0
         g[self.basis[row]] = 1.0
-        nz = np.flatnonzero(g)
+        nz = g.nonzero()[0]
         ends = (g[nz] * self.lower[nz], g[nz] * self.upper[nz])
         lo, hi = np.minimum(*ends).sum(), np.maximum(*ends).sum()
         target = rho @ self.b
@@ -332,6 +337,16 @@ class _Simplex:
             basis = Basis(self.basis.copy(), self.x[: self.n_real] == self.upper[: self.n_real],
                           self.binv, self.etas, self.data)
         return LpResult("optimal", x, float(np.dot(lp.objective, x)), spent + self.pivots, basis)
+
+
+def crash_basis(lp: LinearProgram, basic) -> Basis:
+    """A start for :func:`solve_lp` with the [structural | slack] columns
+    ``basic`` basic, one per row, and every nonbasic at its lower bound."""
+    data = Extended.of(lp)
+    basic = np.asarray(basic, dtype=np.intp)
+    inverse = np.linalg.inv(data.A[:, basic])
+    inverse.flags.writeable = False
+    return Basis(basic, np.zeros(len(data.c), dtype=bool), inverse, 0, data)
 
 
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
@@ -374,13 +389,22 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     return state.result(lp, state.run(c), spent)
 
 
+@lru_cache(maxsize=16)
+def _sense_masks(senses: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only masks of the rows with an upper ("<=", "=") and a lower (">=", "=") side."""
+    masks = (np.array([s != ">=" for s in senses], dtype=bool),
+             np.array([s != "<=" for s in senses], dtype=bool))
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 def _verify(lp: LinearProgram, x: np.ndarray) -> None:
     if ((x < np.asarray(lp.lower) - BOUND_TOL) | (x > np.asarray(lp.upper) + BOUND_TOL)).any():
         raise NumericalFailure("solution violates variable bounds")
     err = lp.rows @ x - lp.rhs
-    capped = np.array([s != ">=" for s in lp.senses], dtype=bool)  # "<=" and "=" rows
-    floored = np.array([s != "<=" for s in lp.senses], dtype=bool)  # ">=" and "=" rows
+    capped, floored = _sense_masks(lp.senses)
     bad = (capped & (err > FEAS_TOL)) | (floored & (err < -FEAS_TOL))
     if bad.any():
-        r = int(np.argmax(bad))  # the first violated row
+        r = int(bad.argmax())  # the first violated row
         raise NumericalFailure(f"row {r} violated by {err[r]:.3e}")

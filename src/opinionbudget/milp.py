@@ -1,21 +1,22 @@
 """Supporter maximization in the presence of transient states.
 
 Branch and bound with LP-relaxation bounds from the bounded-variable
-simplex, a supporter-set enumeration oracle for small instances, and
-budget sweeps.  The binary decisions are one indicator per class /
-transient agent: every member of an ergodic class settles on the class
-consensus, so a class is won or lost as a whole.  A unit's linking row
-is exact: payments must lift its limit by its own gap to the threshold,
-so no global big-M constant enters the relaxation.  Every node's LP
-payments fit the budget, so each is a plan whose supporters the one rule,
-``is_supporter``, decides.  The supporter count is optimized first; among
-maximum-count plans the cheapest payment certificate wins, ties resolved
-toward the lexicographically smallest payment vector.  The spend search
-resumes from the count search's tied and unexplored boxes, warm from its
-own root, rather than searching the whole tree again.  Reported payments
-are rounded up to whole dollars when caps and budget allow, matching the
-dollar granularity of the cost data; pass ``round_dollars=False`` for the
-raw certificate.
+simplex, a supporter-set enumeration oracle for small instances, and budget
+sweeps.  The binary decisions are one indicator per class / transient agent:
+every member of an ergodic class settles on the class consensus, so a class
+is won or lost as a whole.  A unit's linking row is exact: payments must
+lift its limit by its own gap to the threshold, so no global big-M constant
+enters the relaxation.  Every node's LP payments fit the budget, so each is
+a plan whose supporters the one rule, ``is_supporter``, decides.  The
+supporter count is optimized first; among maximum-count plans the cheapest
+payment certificate wins, ties resolved toward the lexicographically
+smallest payment vector.  A node whose units fixed to 1 cost more than the
+budget at their lone prices is settled without an LP.  The spend search
+resumes from the count search's tied and unexplored boxes, warm from its own
+root, rather than searching the whole tree again.  Reported payments are
+rounded up to whole dollars when caps and budget allow, matching the dollar
+granularity of the cost data; pass ``round_dollars=False`` for the raw
+certificate.
 """
 
 import math
@@ -27,7 +28,7 @@ import numpy as np
 from .chain_analysis import ChainAnalysis, analyze, checked_budget, evaluate_plan, is_supporter
 from .decompose import Decomposition, decompose
 from .knapsack import solve_by_classes
-from .lp import LinearProgram, LpResult, solve_lp
+from .lp import FEAS_TOL, PRIMAL_PIVOT_TOL, LinearProgram, LpResult, crash_basis, solve_lp
 from .model import Instance, PaymentPlan, confidence_matrix
 
 #: Default branch-and-bound node budget; the OBO_NODE_LIMIT env var overrides.
@@ -192,6 +193,27 @@ def _won(mi: MilpInstance, reps, pay_q: np.ndarray) -> np.ndarray:
     return is_supporter(mi.baseline[reps] + mi.rates[reps] @ pay_q, mi.threshold)
 
 
+def _unit_prices(lift: np.ndarray, caps: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Each unit's lone price: the least payment within ``caps`` that lifts its
+    representative (row of ``lift``) by its gap less ``FEAS_TOL``, inf if none does.
+
+    One fractional knapsack per row, fastest-lifting payers paid first; for a
+    class this is its greedy class price."""
+    need = gaps - FEAS_TOL
+    order = np.argsort(-lift, axis=1, kind="stable")
+    rate, cap = np.take_along_axis(lift, order, axis=1), caps[order]
+    zero = np.zeros((len(gaps), 1))
+    reach = np.hstack([zero, np.cumsum(rate * cap, axis=1)])  # lift of the first t payers' caps
+    spent = np.hstack([zero, np.cumsum(cap, axis=1)])
+    rows = np.arange(len(gaps))
+    t = np.minimum((reach[:, 1:] < need[:, None]).sum(axis=1), lift.shape[1] - 1)  # the partial payer
+    with np.errstate(divide="ignore", invalid="ignore"):
+        price = spent[rows, t] + (need - reach[rows, t]) / rate[rows, t]
+    price[reach[:, -1] < need] = np.inf
+    price[need <= 0.0] = 0.0
+    return price
+
+
 def _finish(mi: MilpInstance, pay_q: np.ndarray, nodes: int, proven: bool,
             round_dollars: bool, certified: int = 0) -> MilpSolution:
     payments = np.zeros(mi.instance.n)
@@ -216,28 +238,32 @@ def _children(lower: np.ndarray, upper: np.ndarray, col: int) -> list[tuple[np.n
 
 
 def _branch_and_bound(program: LinearProgram, q: int, visit, node_limit: int,
-                      boxes=None) -> tuple[int, list]:
+                      boxes=None, start=None, unpayable=None) -> tuple[int, list]:
     """Depth-first branch and bound over the indicators after the ``q`` payments.
 
     ``program`` is the pass's one relaxation; a node differs from it only
     in its variable bounds and is warm started from its parent's optimal
-    basis (the root solves cold).  ``visit(res, lower, upper, integral)``
+    basis (the root from ``start``, cold without one).  A node whose
+    indicators fixed to 1 are ``unpayable(lower[q:])`` is settled as
+    infeasible without an LP.  ``visit(res, lower, upper, integral)``
     sees every optimal node with its box, may take its payments as the
     incumbent, and says whether to cut it.  Infeasible and integral nodes
     are leaves; otherwise the most fractional indicator is branched on, its
     1-branch explored first.  Given ``boxes``, the root's children are those
     (lower, upper) boxes instead, searched in order and warm started from
     the root's basis; a box that holds the root's optimum is branched at
-    once, as the root would be.  Returns the nodes solved and the boxes
+    once, as the root would be.  Returns the nodes visited and the boxes
     left unexplored at ``node_limit``, none once the tree is exhausted.
     """
-    stack = [(program.lower, program.upper, None)]
+    stack = [(program.lower, program.upper, start)]
     nodes = 0
     while stack:
         if nodes >= node_limit:
             return nodes, [(lower, upper) for lower, upper, _ in reversed(stack)]
         lower, upper, start = stack.pop()
         nodes += 1
+        if unpayable is not None and unpayable(lower[q:]):
+            continue
         res = solve_lp(replace(program, lower=lower, upper=upper), start)
         if res.status != "optimal":
             continue
@@ -275,34 +301,52 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
                round_dollars: bool = True) -> MilpSolution:
     """Provably optimal supporter plan by two branch-and-bound passes.
 
-    The first pass maximizes the supporter count; the second minimizes
-    total spend among plans achieving that count.  Pass 1 records every
-    box it closes with a bound at least the count of its time, and any
-    box the node limit leaves unexplored.  Pass 2 solves its own root
-    cold and then searches only the recorded boxes whose bound reaches
-    the final count, each warm from that root: pass 1's other leaves are
-    infeasible or bounded below some count it had already won, so no plan
-    with the optimal count lies in them.  Exploration order never affects
-    the result: incumbents are compared by count, then spend, then
-    lexicographic payments.  If the node limit is exhausted the best
-    incumbent is returned marked "heuristic".
+    The first pass maximizes the supporter count, from a crash basis with
+    each unit's indicator basic in its linking row; the second minimizes
+    total spend among plans achieving that count.  In both, a node whose
+    units fixed to 1 cost more than the budget is settled without an LP.
+    Pass 1 records every box it closes with a bound at least the count of
+    its time, and any box the node limit leaves unexplored.  Pass 2 solves
+    its own root cold and then searches only the recorded boxes whose bound
+    reaches the final count, each warm from that root: pass 1's other leaves
+    are infeasible or bounded below some count it had already won, so no
+    plan with the optimal count lies in them.  Incumbents are compared by
+    count, then spend, then lexicographic payments.  The count and the spend
+    do not depend on exploration order, but the payments of an exact spend
+    tie can: the lexicographic rule compares only the node optima the search
+    visits.  If the node limit is exhausted the best incumbent is returned
+    marked "heuristic".
     """
     node_limit = resolve_node_limit(node_limit)
     q = len(mi.pay_agents)
-    units = _units(mi.analysis.decomposition)
+    d = mi.analysis.decomposition
+    units = _units(d)
     reps, sizes = [u[0] for u in units], np.array([len(u) for u in units], dtype=float)
     free = np.zeros(len(units)), np.ones(len(units))
+    base, lift = mi.baseline[reps], mi.rates[reps]
+    gaps = np.maximum(mi.threshold - base, 0.0)
+
+    def won(pay):
+        return is_supporter(base + lift @ pay, mi.threshold)
+
+    # Classes have disjoint payers, so the prices of classes fixed to 1 add up;
+    # a transient unit shares payers and bounds the spend only by its own price.
+    prices, classes = _unit_prices(lift, mi.caps, gaps), len(d.classes)
+
+    def unpayable(zlo):
+        fixed = np.where(zlo > 0.0, prices, 0.0)
+        return max(fixed[:classes].sum(), fixed[classes:].max(initial=0.0)) > mi.budget + FEAS_TOL
 
     # Pass 1: maximize the number of supporters; every node's payments are a plan.
-    best_won = _won(mi, reps, np.zeros(q))
+    best_won = won(np.zeros(q))
     best_count = int(sizes @ best_won)
     tied = []  # (bound, lower, upper) of closed nodes whose bound reached the count of their time
 
     def visit_count(res, lower, upper, integral):
         nonlocal best_count, best_won
-        won = _won(mi, reps, res.x[:q])
-        if (count := int(sizes @ won)) > best_count:
-            best_count, best_won = count, won
+        won_now = won(res.x[:q])
+        if (count := int(sizes @ won_now)) > best_count:
+            best_count, best_won = count, won_now
         bound = math.floor(res.objective + INT_TOL)
         cut = bound <= best_count
         if (cut or integral) and bound >= best_count:
@@ -310,7 +354,13 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
         return cut
 
     count_lp = _node_program(mi, units, *free, np.concatenate([np.zeros(q), sizes]))
-    nodes, unexplored = _branch_and_bound(count_lp, q, visit_count, node_limit)
+    # crash start: each unit's indicator basic in its linking row (its slack where
+    # the gap is nil), the budget slack basic; feasible at zero payments
+    n = q + len(units)
+    crash = np.where(gaps > PRIMAL_PIVOT_TOL, q + np.arange(len(units)), n + 1 + np.arange(len(units)))
+    nodes, unexplored = _branch_and_bound(count_lp, q, visit_count, node_limit,
+                                          start=crash_basis(count_lp, np.append(n, crash)),
+                                          unpayable=unpayable)
     # No plan with best_count supporters lies outside these boxes: pass 1's other
     # leaves were infeasible or bounded below a count it had already won.
     boxes = [(lower, upper) for bound, lower, upper in tied if bound >= best_count] + unexplored
@@ -326,13 +376,14 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
         spend, pay = -res.objective, res.x[:q]
         cheaper = spend < best_spend - SPEND_TOL or (
             spend <= best_spend + SPEND_TOL and _lex_smaller(pay, best_pay))
-        if cheaper and sizes @ _won(mi, reps, pay) >= best_count:
+        if cheaper and sizes @ won(pay) >= best_count:
             best_spend, best_pay = spend, pay
         return spend > best_spend + SPEND_TOL
 
     spend_lp = _node_program(mi, units, *free, np.concatenate([-np.ones(q), np.zeros(len(units))]),
                              min_count=best_count)
-    more, left = _branch_and_bound(spend_lp, q, visit_spend, node_limit - nodes, boxes)
+    more, left = _branch_and_bound(spend_lp, q, visit_spend, node_limit - nodes, boxes,
+                                   unpayable=unpayable)
     return _finish(mi, best_pay, nodes + more, not (unexplored or left), round_dollars, best_count)
 
 

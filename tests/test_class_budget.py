@@ -13,6 +13,7 @@ from opinionbudget.class_budget import (
     min_budget_for_class,
     min_budget_stack,
 )
+from opinionbudget.chain_analysis import consensus_stack
 from opinionbudget.lp import LinearProgram, solve_lp
 
 from conftest import random_class
@@ -228,3 +229,53 @@ def test_stacked_pricing_matches_the_scalar_loop_bitwise():
                     assert single.payments.tobytes() == ref_pay.tobytes()
                     assert single.critical_item == ref_crit
                     assert single.total.hex() == ref_total.hex()
+
+
+def reference_stack_walk(pi, opinions, costs, threshold):
+    """The stacked greedy as one elementwise step per member position: (payments, critical)."""
+    count, m = pi.shape
+    payments = np.zeros((count, m))
+    critical = np.full(count, -1)
+    need = np.flatnonzero(~(consensus_stack(pi, opinions) >= threshold))
+    if not need.size:
+        return payments, critical
+    order = np.array([_influence_order(pi[r], costs[r]) for r in need.tolist()], dtype=np.intp)
+    rows = np.arange(need.size)
+    p, x, c = (a[need[:, None], order] for a in (pi, opinions, costs))
+    paid = np.zeros(need.size)
+    rest = consensus_stack(p, x)
+    crit = np.full(need.size, m - 1)
+    crit_paid, crit_rest = np.empty(need.size), np.empty(need.size)
+    searching = np.ones(need.size, dtype=bool)
+    for pos in range(m):
+        before_paid, before_rest = paid, rest
+        paid = paid + p[:, pos]
+        rest = rest - p[:, pos] * x[:, pos]
+        hit = searching & (paid + rest >= threshold)
+        crit[hit] = pos
+        crit_paid[hit], crit_rest[hit] = before_paid[hit], before_rest[hit]
+        searching &= ~hit
+    crit_paid[searching] = paid[searching] - p[searching, -1]
+    crit_rest[searching] = rest[searching] + p[searching, -1] * x[searching, -1]
+    cap = c * (1.0 - x)
+    paid_sorted = np.where(np.arange(m) < crit[:, None], cap, 0.0)
+    top_up = (c[rows, crit] / p[rows, crit]) * (threshold - crit_paid - crit_rest)
+    top_up = np.where(0.0 > top_up, 0.0, top_up)
+    paid_sorted[rows, crit] = np.where(cap[rows, crit] < top_up, cap[rows, crit], top_up)
+    payments[need[:, None], order] = paid_sorted
+    critical[need] = order[rows, crit]
+    return payments, critical
+
+
+def test_running_sums_match_the_stepwise_walk():
+    # the running sums add and subtract in the walk's own order, so every bit agrees
+    rng = np.random.default_rng(137)
+    cases = [(stack(rng, 30, m), t) for m in (1, 2, 3, 5, 8, 13, 40)
+             for stack in (tie_heavy_stack, random_stack)
+             for t in (0.25, 0.5, 0.75, 0.9, 1.0, float(rng.uniform(0.05, 1.0)))]
+    cases += [(random_stack(rng, 1, 2000), t) for t in (0.3, 0.6, 0.95, 1.0)]  # one 2,000-member class
+    for (pi, opinions, costs), threshold in cases:
+        payments, critical = min_budget_stack(pi, opinions, costs, threshold)
+        ref_payments, ref_critical = reference_stack_walk(pi, opinions, costs, threshold)
+        assert np.array_equal(payments, ref_payments)
+        assert np.array_equal(critical, ref_critical)

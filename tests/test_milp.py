@@ -1,5 +1,6 @@
 """Branch-and-bound supporter maximization against the enumeration oracle."""
 
+import inspect
 import json
 import math
 import tracemalloc
@@ -307,7 +308,10 @@ def test_tiled_paper_node_pivots(monkeypatch):
     sols = [solve_milp(build_milp(inst, an, budget=b)) for b in (99, 169, 293)]
     assert [sol.supporter_count for sol in sols] == [4, 7, 13]
     assert all(sol.optimality == "proven" for sol in sols)
-    assert len(pivots) == sum(sol.node_count for sol in sols) + 3  # + one seed LP each
+    # 95 nodes, of which 21 are settled by their units' prices without an LP,
+    # plus one seed LP per budget
+    assert sum(sol.node_count for sol in sols) == 95
+    assert len(pivots) == 95 - 21 + 3 == 77
     assert sum(pivots) <= 1000
 
 
@@ -462,8 +466,9 @@ def test_branch_var_and_lex_order_match_the_loops():
 
 def test_tiled_paper_solves_cold_only_where_no_parent_exists(monkeypatch):
     # every warm node, infeasible ones included, is settled on the warm path
-    # with the carried inverse: only the two pass roots and the pass-2 seed
-    # of each budget start from the slack basis
+    # with the carried inverse, and the pass-1 root starts from its crash
+    # basis: only the pass-2 root and the pass-2 seed of each budget start
+    # from the slack basis
     colds = []
     install = lp_module._Simplex._install_start_basis
     monkeypatch.setattr(lp_module._Simplex, "_install_start_basis",
@@ -473,7 +478,7 @@ def test_tiled_paper_solves_cold_only_where_no_parent_exists(monkeypatch):
     an = analyze(cm, decompose(cm), inst.true_opinions)
     sols = [solve_milp(build_milp(inst, an, budget=b)) for b in (99, 169, 293)]
     assert [sol.supporter_count for sol in sols] == [4, 7, 13]
-    assert len(colds) == 3 * 3
+    assert len(colds) == 3 * 2
 
 
 def _root_restart_reference(mi, node_limit=milp_module.DEFAULT_NODE_LIMIT):
@@ -563,8 +568,9 @@ def test_node_limited_runs_keep_the_pass_one_count_and_the_seed_spend():
 def test_node_limited_pass_one_hands_its_stack_to_pass_two(monkeypatch):
     calls = []
 
-    def recording(program, q, visit, node_limit, boxes=None):
-        nodes, left = _branch_and_bound(program, q, visit, node_limit, boxes)
+    def recording(*args, **kwargs):
+        nodes, left = _branch_and_bound(*args, **kwargs)
+        boxes = inspect.signature(_branch_and_bound).bind(*args, **kwargs).arguments.get("boxes")
         calls.append((boxes, left))
         return nodes, left
 
@@ -599,3 +605,80 @@ def test_sweep_builds_the_milp_data_once(paper_instance, paper_analysis, monkeyp
     # a bad row still raises the budget check's error
     with pytest.raises(ValueError, match="budget inf must be nonnegative and finite"):
         budget_sweep(paper_instance, [1.0, float("inf")])
+
+
+def _tiled_milps():
+    for copies, budgets in ((2, (99, 169, 293)), (3, (779,)), (4, (1072,))):
+        inst = tiled_paper(copies)
+        cm = confidence_matrix(inst)
+        an = analyze(cm, decompose(cm), inst.true_opinions)
+        yield from (build_milp(inst, an, budget=b) for b in budgets)
+
+
+def _pretest_corpus():
+    yield from _tiled_milps()
+    yield from _random_milps(181, 15, (1.0, 0.2, 0.05))
+
+
+def _settled_node_statuses(monkeypatch, mis):
+    """solve_lp's status on every node the price pretest settles, with the
+    node's other indicators freed: a looser box than the node's own."""
+    statuses = []
+
+    def checking(program, q, *args, unpayable=None, **kwargs):
+        def check(zlo):
+            if settled := unpayable(zlo):
+                box = replace(program, lower=np.concatenate([program.lower[:q], zlo]))
+                statuses.append(milp_module.solve_lp(box).status)
+            return settled
+
+        return _branch_and_bound(program, q, *args, unpayable=unpayable and check, **kwargs)
+
+    monkeypatch.setattr(milp_module, "_branch_and_bound", checking)
+    for mi in mis:
+        solve_milp(mi)
+    return statuses
+
+
+def test_price_settled_nodes_are_infeasible(monkeypatch):
+    statuses = _settled_node_statuses(monkeypatch, _pretest_corpus())
+    assert len(statuses) >= 50  # 106 here
+    assert set(statuses) == {"infeasible"}
+
+
+def test_inflated_prices_settle_a_feasible_node(monkeypatch):
+    # the soundness check above catches prices only 1% too high
+    prices = milp_module._unit_prices
+    monkeypatch.setattr(milp_module, "_unit_prices", lambda *args: 1.01 * prices(*args))
+    assert "optimal" in _settled_node_statuses(monkeypatch, _pretest_corpus())
+
+
+def test_pretest_and_crash_start_change_no_node_and_no_payment_bit(monkeypatch):
+    def reference(*args, start=None, unpayable=None, **kwargs):
+        return _branch_and_bound(*args, **kwargs)
+
+    for mi in _pretest_corpus():
+        for round_dollars in (True, False):
+            with monkeypatch.context() as patch:
+                patch.setattr(milp_module, "_branch_and_bound", reference)
+                ref = solve_milp(mi, round_dollars=round_dollars)
+            sol = solve_milp(mi, round_dollars=round_dollars)
+            assert (sol.node_count, sol.optimality) == (ref.node_count, ref.optimality)
+            assert sol.plan.payments.tobytes() == ref.plan.payments.tobytes()
+
+
+@pytest.mark.parametrize("budget,paid,supporters,spend", [
+    (99, {"j1": 99.0}, ["i1", "j1", "k1", "l1"], 99.0),
+    (169, {"j1": 169.0}, ["e1", "g1", "h1", "i1", "j1", "k1", "l1"], 169.0),
+    (293, {"j0": 117.0, "j1": 169.0},
+     ["g0", "h0", "i0", "j0", "k0", "l0", "e1", "g1", "h1", "i1", "j1", "k1", "l1"], 286.0),
+])
+def test_tiled_paper_plans_are_pinned(budget, paid, supporters, spend):
+    # the copies tie on spend, and the lexicographic tie-break compares only the
+    # node optima the search visits: a change to the tree can pay the same $99
+    # to j0 instead of j1
+    inst = tiled_paper(2)
+    cm = confidence_matrix(inst)
+    sol = solve_milp(build_milp(inst, analyze(cm, decompose(cm), inst.true_opinions), budget=budget))
+    assert sol.plan.to_dict() == {"payments": {a: paid.get(a, 0.0) for a in inst.agents},
+                                  "supporters": supporters, "total_spend": spend}
