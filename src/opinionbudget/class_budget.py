@@ -5,6 +5,12 @@ everyone ahead of the critical item is pushed to opinion 1, the critical
 item receives the fractional top-up that lands the consensus exactly on
 the target, and everyone after it receives nothing.  The result is both
 optimal and maximal (the constraint binds whenever anything is paid).
+
+The greedy order of a whole stack of same-size classes is one array sort
+per class size (:func:`_greedy_order`): a stable ``argsort`` of the rounded
+ratios.  The exact cross-product comparator (:func:`_influence_order`)
+settles only the rows where that sort is not provably its order: near
+ties, and values outside the normal float range.
 """
 
 from dataclasses import dataclass
@@ -57,6 +63,63 @@ def _influence_order(pi: np.ndarray, costs: np.ndarray) -> list[int]:
     return sorted(range(len(pi)), key=cmp_to_key(cmp))
 
 
+#: Relative gap δ between adjacent ratios that :func:`_greedy_order` needs to
+#: trust the array sort: 16u, with u = 2**-53 the unit roundoff.
+_RATIO_GAP = 2.0 ** -49
+_TINY = np.finfo(float).tiny
+
+
+def _greedy_order(pi: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """:func:`_influence_order` of every row of a ``(rows, m)`` stack.
+
+    One ``np.argsort(-(pi / costs), axis=1, kind="stable")`` orders the
+    whole stack.  A row keeps that order when its ``pi`` and ``costs`` are
+    positive, their products and quotients lie in the normal float range
+    (``tiny < fl(.) < inf``), and each adjacent pair ``a, b`` of the order has
+    rounded ratios ``r = fl(pi / c)`` with ``fl(r_a - r_b) > fl(δ r_a)``; any
+    other row is sorted by the comparator.
+
+    Why a kept row is exact.  Write u = 2**-53; a product or quotient ``z``
+    of floats in the normal range is rounded as ``fl(z) = z (1 + e)`` with
+    ``|e| <= u`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., §2.2).
+
+    1. The test implies ``r_a - r_b > 5u r_a`` in exact arithmetic.  If
+       ``r_b >= r_a / 2`` the subtraction is exact (Sterbenz); and since
+       ``r_a > tiny``, ``fl(δ r_a)`` is at least ``(15/16) δ r_a = 15u r_a``,
+       even where it is subnormal (its absolute error is at most
+       ``2**-1075 <= δ r_a / 16``).  If ``r_b < r_a / 2`` the gap exceeds
+       ``r_a / 2`` anyway.
+    2. Adjacent gaps add up, so every pair ``a`` ahead of ``b`` in the order,
+       adjacent or not, has ``r_a / r_b > 1 / (1 - 5u)``.
+    3. For the true ratios ``ρ = pi / c`` this gives
+       ``ρ_a / ρ_b >= (r_a / r_b)(1 - u) / (1 + u)``, and for the rounded
+       cross-products ``P = fl(pi_a c_b)``, ``Q = fl(pi_b c_a)``
+       ``P / Q >= (ρ_a / ρ_b)(1 - u) / (1 + u)
+       > (1 - u)**2 / ((1 - 5u)(1 + u)**2) > 1``,
+       because ``(1 - u)**2 - (1 - 5u)(1 + u)**2 = u + 10u**2 + 5u**3``.
+
+    So ``P > Q`` for every pair: on that row the comparator is a strict
+    total order that agrees with the ratios, and the argsort order is its
+    only sorted sequence.  Ties, proportional pairs and ratios a few ulp
+    apart fail the gap test and fall back to the comparator.
+    """
+    with np.errstate(all="ignore"):
+        ratio = pi / costs
+        order = np.argsort(-ratio, axis=1, kind="stable")
+        r = np.take_along_axis(ratio, order, axis=1)
+        exact = (
+            (pi.min(axis=1) > 0.0) & (costs.min(axis=1) > 0.0)
+            & (pi.min(axis=1) * costs.min(axis=1) > _TINY)
+            & (pi.max(axis=1) * costs.max(axis=1) < np.inf)
+            & (r[:, -1] > _TINY) & (r[:, 0] < np.inf)
+            & (r[:, :-1] - r[:, 1:] > _RATIO_GAP * r[:, :-1]).all(axis=1)
+        )
+    for row in np.flatnonzero(~exact).tolist():
+        order[row] = _influence_order(pi[row], costs[row])
+    return order
+
+
 def min_budget_stack(
     pi: np.ndarray,
     opinions: np.ndarray,
@@ -75,8 +138,8 @@ def min_budget_stack(
     sums (``np.add.accumulate``, ``np.subtract.accumulate``), which add and
     subtract in that order.
     """
-    if threshold > 1.0 + OPINION_TOL:
-        raise InfeasibleThreshold(f"target consensus {threshold} exceeds 1")
+    if not threshold <= 1.0 + OPINION_TOL:  # a NaN target is refused too
+        raise InfeasibleThreshold(f"target consensus {threshold} is above 1 or not a number")
     count, m = pi.shape
     payments = np.zeros((count, m))
     critical = np.full(count, -1)
@@ -84,7 +147,7 @@ def min_budget_stack(
     need = np.flatnonzero(~(consensus_stack(pi, opinions) >= threshold))
     if not need.size:
         return payments, critical
-    order = np.array([_influence_order(pi[r], costs[r]) for r in need.tolist()], dtype=np.intp)
+    order = _greedy_order(pi[need], costs[need])
     rows = np.arange(need.size)
     p, x, c = (a[need[:, None], order] for a in (pi, opinions, costs))
 
@@ -149,7 +212,7 @@ def class_cost_curve(
     out = np.zeros(len(targets))
     for idx, target in enumerate(targets):
         t = float(target)
-        if t < base - OPINION_TOL or t > 1.0 + OPINION_TOL:
+        if not base - OPINION_TOL <= t <= 1.0 + OPINION_TOL:  # NaN is out of range
             raise TargetOutOfRange(
                 f"target {t} outside [{base:.12g}, 1] reachable by payments"
             )

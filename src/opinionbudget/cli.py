@@ -1,7 +1,9 @@
 """Command-line front end: validate, decompose, analyze, price, solve, sweep.
 
 All reals in JSON/CSV output are serialized with 12 significant digits, so
-repeated runs on the same input are byte-identical.  Exit codes: 0 on
+repeated runs on the same input are byte-identical.  JSON is written by the
+C encoder, one call per flat list or map, and matches
+``json.dumps(doc, indent=2)`` byte for byte.  Exit codes: 0 on
 success, 1 on validation or usage errors (with machine-readable
 diagnostics on stdout), 2 on solver failures.
 """
@@ -18,19 +20,62 @@ from .decompose import decompose
 from .model import confidence_matrix
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _flat(members) -> bool:
+    """No member is itself a container.
+
+    One set of exact types decides the common case; other types fall
+    through to the per-member check.
+    """
+    return set(map(type, members)) <= _SCALARS or not any(isinstance(v, _CONTAINERS) for v in members)
+
+
 def _fmt(value):
-    """Round every float in a JSON-ready structure to 12 significant digits."""
+    """Round every float in a JSON-ready structure to 12 significant digits.
+
+    A flat container is rounded in one comprehension; a dict is rounded as
+    the list of its values.
+    """
     if isinstance(value, float):
         return float(f"{value:.12g}")
     if isinstance(value, dict):
-        return {k: _fmt(v) for k, v in value.items()}
+        return dict(zip(value, _fmt(list(value.values()))))
     if isinstance(value, (list, tuple)):
+        if _flat(value):
+            return [float(f"{v:.12g}") if isinstance(v, float) else v for v in value]
         return [_fmt(v) for v in value]
     return value
 
 
+def _dump(doc, outer: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)``, with each flat container in one C-encoder call.
+
+    ``outer`` is the newline and indent of the line that closes ``doc``.  A
+    non-empty flat container is one ``json.dumps`` with the item separator
+    ``",\n" + indent``, which runs the C encoder, between the brackets
+    ``indent=2`` would write; nested containers recurse.  The C encoder and
+    the indenting encoder share float ``repr``, ASCII escaping, NaN and
+    Infinity, and key coercion, so the bytes are the same.
+    """
+    if not isinstance(doc, _CONTAINERS) or not doc:
+        return json.dumps(doc)
+    inner = outer + "  "
+    is_dict = isinstance(doc, dict)
+    if _flat(doc.values() if is_dict else doc):
+        body = json.dumps(doc, separators=("," + inner, ": "))[1:-1]
+    elif is_dict:
+        # json.dumps({k: 0}) is '{<key>: 0}': the key as the encoder coerces it
+        body = ("," + inner).join(f"{json.dumps({k: 0})[1:-4]}: {_dump(v, inner)}" for k, v in doc.items())
+    else:
+        body = ("," + inner).join(_dump(v, inner) for v in doc)
+    return ("{" if is_dict else "[") + inner + body + outer + ("}" if is_dict else "]")
+
+
 def _json(doc) -> str:
-    return json.dumps(_fmt(doc), indent=2) + "\n"
+    return _dump(_fmt(doc)) + "\n"
 
 
 def _csv(rows, header) -> str:
@@ -93,10 +138,10 @@ def _cmd_analyze(args) -> int:
         "agents": list(instance.agents),
         "transient": [instance.agents[i] for i in an.decomposition.transient],
         "classes": [[instance.agents[i] for i in members] for members in an.decomposition.classes],
-        "pi": [[float(v) for v in an.pi[list(members)]] for members in an.decomposition.classes],
-        "hitting": [[float(v) for v in vec] for vec in hitting],
-        "consensus": [float(v) for v in an.consensus],
-        "asymptotic": [float(v) for v in an.asymptotic],
+        "pi": [an.pi[list(members)].tolist() for members in an.decomposition.classes],
+        "hitting": hitting.tolist(),
+        "consensus": an.consensus.tolist(),
+        "asymptotic": an.asymptotic.tolist(),
     }), args)
     return 0
 
@@ -118,9 +163,7 @@ def _cmd_min_class_budget(args) -> int:
     _emit(_json({
         "class": args.klass,
         "members": [instance.agents[i] for i in members],
-        "payments": {
-            instance.agents[i]: float(p) for i, p in zip(members, result.payments)
-        },
+        "payments": dict(zip([instance.agents[i] for i in members], result.payments.tolist())),
         "critical_item": critical,
         "total": float(result.total),
         "feasible": result.feasible,
@@ -172,7 +215,7 @@ def _cmd_simulate(args) -> int:
     mask = chain_analysis.is_supporter(final, instance.threshold)
     _emit(_json({
         "supporters": [a for a, s in zip(instance.agents, mask) if s],
-        "asymptotic": [float(v) for v in final],
+        "asymptotic": final.tolist(),
         "steps": steps,
     }), args)
     return 0

@@ -145,7 +145,7 @@ class PaymentPlan:
 
     def to_dict(self) -> dict:
         return {
-            "payments": {a: float(p) for a, p in zip(self.agents, self.payments)},
+            "payments": dict(zip(self.agents, self.payments.tolist())),
             "supporters": list(self.supporters),
             "total_spend": float(self.total_spend),
         }

@@ -5,9 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from opinionbudget import class_budget
 from opinionbudget.class_budget import (
     InfeasibleThreshold,
     TargetOutOfRange,
+    _greedy_order,
     _influence_order,
     class_cost_curve,
     min_budget_for_class,
@@ -71,6 +73,12 @@ def test_already_satisfied_class():
 def test_threshold_above_one_rejected():
     with pytest.raises(InfeasibleThreshold):
         min_budget_for_class(PI_1, X_1, C_1, 1.5)
+
+
+def test_nan_threshold_rejected():
+    # not (threshold <= 1 + tol): NaN would otherwise price as feasible NaN payments
+    with pytest.raises(InfeasibleThreshold):
+        min_budget_for_class(np.array([0.5, 0.5]), np.array([0.2, 0.4]), np.array([3.0, 5.0]), float("nan"))
 
 
 def test_maximality_consensus_equals_target():
@@ -166,6 +174,11 @@ def test_cost_curve_target_out_of_range():
         class_cost_curve(PI_2, X_2, C_2, [base - 0.01])
     with pytest.raises(TargetOutOfRange):
         class_cost_curve(PI_2, X_2, C_2, [1.01])
+
+
+def test_cost_curve_nan_target_out_of_range():
+    with pytest.raises(TargetOutOfRange):
+        class_cost_curve(PI_2, X_2, C_2, [float("nan")])
 
 
 def reference_greedy(pi, opinions, costs, threshold):
@@ -279,3 +292,79 @@ def test_running_sums_match_the_stepwise_walk():
         ref_payments, ref_critical = reference_stack_walk(pi, opinions, costs, threshold)
         assert np.array_equal(payments, ref_payments)
         assert np.array_equal(critical, ref_critical)
+
+
+def near_tie_stack(rng, count, m):
+    """Rows whose pi/c ratios lie 0-8 ulp apart, so rounded cross-products may tie."""
+    ratio = rng.uniform(0.01, 2.0, (count, 1)) * (1.0 + np.finfo(float).eps * rng.integers(0, 9, (count, m)))
+    costs = rng.uniform(0.5, 10.0, (count, m))
+    return ratio * costs, costs
+
+
+def adversarial_stack(rng, count, m):
+    """Rows of every kind the array sort must hand to the comparator, among plain ones.
+
+    Exact ties, proportional pairs (pi and c both scaled by k), ratios a few
+    ulp apart, subnormal and huge magnitudes, tiny negative pi (the
+    stationary solve allows -1e-12), and plain random rows.
+    """
+    kind = np.arange(count) % 6
+    pi, costs = random_stack(rng, count, m)[::2]
+    ties = tie_heavy_stack(rng, count, m)
+    pi[kind == 0], costs[kind == 0] = ties[0][kind == 0], ties[2][kind == 0]
+    rows = np.flatnonzero(kind == 1)
+    source = rng.integers(0, m, (rows.size, m))
+    k = rng.choice([1.0, 0.1, 3.0, 7.3, 1e-3], (rows.size, m))
+    pi[rows] = k * np.take_along_axis(pi[rows], source, axis=1)
+    costs[rows] = k * np.take_along_axis(costs[rows], source, axis=1)
+    pi[kind == 2], costs[kind == 2] = near_tie_stack(rng, int((kind == 2).sum()), m)
+    rows = np.flatnonzero(kind == 3)
+    pi[rows] *= rng.choice([1e-310, 1e-300, 1.0, 1e300], (rows.size, 1))
+    costs[rows] *= rng.choice([1e-300, 1.0, 1e10, 1e300], (rows.size, 1))
+    rows = np.flatnonzero(kind == 4)
+    pi[rows, rng.integers(0, m, rows.size)] = -1e-12
+    return pi, costs
+
+
+def test_greedy_order_is_the_comparator_order(monkeypatch):
+    calls = []
+
+    def counted(pi, costs):
+        calls.append(len(pi))
+        return _influence_order(pi, costs)
+
+    monkeypatch.setattr(class_budget, "_influence_order", counted)
+    rng = np.random.default_rng(139)
+    rows = 0
+    for m in (1, 2, 3, 4, 6, 9, 16, 40):
+        pi, costs = adversarial_stack(rng, 120, m)
+        with np.errstate(over="ignore"):  # the comparator's products of huge rows overflow
+            order = _greedy_order(pi, costs)
+            for r in range(len(pi)):
+                assert order[r].tolist() == _influence_order(pi[r], costs[r]), (m, r)
+        rows += len(pi)
+    assert 0 < len(calls) < rows  # the comparator settles some rows, the array sort the rest
+
+
+def test_greedy_order_needs_its_gap(monkeypatch):
+    # with no margin, a ratio order a few ulp apart can disagree with the
+    # rounded cross-products, and the comparator's index tie-break
+    monkeypatch.setattr(class_budget, "_RATIO_GAP", 0.0)
+    rng = np.random.default_rng(149)
+    pi, costs = near_tie_stack(rng, 400, 5)
+    order = _greedy_order(pi, costs)
+    assert any(order[r].tolist() != _influence_order(pi[r], costs[r]) for r in range(len(pi)))
+
+
+def test_near_tie_pricing_matches_the_stepwise_walk():
+    rng = np.random.default_rng(151)
+    for m in (1, 2, 3, 5, 8, 13):
+        pi, costs = adversarial_stack(rng, 60, m)
+        keep = np.flatnonzero(np.arange(60) % 6 != 3)  # magnitudes whose top-ups overflow
+        pi, costs = pi[keep], costs[keep]
+        opinions = rng.uniform(0.0, 1.0, pi.shape)
+        for threshold in (0.25, 0.5, 0.9, 1.0):
+            payments, critical = min_budget_stack(pi, opinions, costs, threshold)
+            ref_payments, ref_critical = reference_stack_walk(pi, opinions, costs, threshold)
+            assert payments.tobytes() == ref_payments.tobytes()
+            assert np.array_equal(critical, ref_critical)

@@ -4,12 +4,49 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from opinionbudget import cli
 from opinionbudget.cli import main
 
 from conftest import PAPER_EXAMPLE, classes_raw
 
 PAPER = str(PAPER_EXAMPLE)
+
+
+def indent_encoder(doc) -> str:
+    """What the CLI's JSON must be, byte for byte."""
+    return json.dumps(cli._fmt(doc), indent=2) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def json_is_the_indent_encoder(monkeypatch):
+    """Every document a test here prints, error documents included, is also checked byte for byte."""
+    emit = cli._json
+
+    def checked(doc):
+        text = emit(doc)
+        assert text == indent_encoder(doc)
+        return text
+
+    monkeypatch.setattr(cli, "_json", checked)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+           | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf"), "é\u2028\ud800", '"\\\n\t\x00']))
+KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=6) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(KEYS, inner, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(DOCUMENTS)
+def test_json_matches_the_indent_encoder(doc):
+    assert cli._json(doc) == indent_encoder(doc)
 
 
 def run(capsys, *argv):

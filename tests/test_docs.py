@@ -1,4 +1,4 @@
-"""The README's promises that code can check: its CLI example and its tolerance ladder."""
+"""The README's promises that code can check: its CLI examples and its tolerance ladder."""
 
 import re
 import shlex
@@ -10,12 +10,21 @@ ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
-def test_readme_sweep_example_is_what_obo_prints(capsys, monkeypatch):
-    block = re.search(r"```sh\n\$ (obo sweep .*? --format csv)\n(.*?)```", README, re.S)
+def assert_readme_example(command_pattern, capsys, monkeypatch):
+    block = re.search(rf"```sh\n\$ ({command_pattern})\n(.*?)```", README, re.S)
     command, expected = block.group(1), block.group(2)
     monkeypatch.chdir(ROOT)
     assert cli.main(shlex.split(command)[1:]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_readme_sweep_example_is_what_obo_prints(capsys, monkeypatch):
+    assert_readme_example(r"obo sweep .*? --format csv", capsys, monkeypatch)
+
+
+def test_readme_min_class_budget_example_is_what_obo_prints(capsys, monkeypatch):
+    # a nested list, a dict, floats and a boolean, as the JSON emitter writes them
+    assert_readme_example(r"obo min-class-budget .*?", capsys, monkeypatch)
 
 
 def test_tolerance_ladder():
