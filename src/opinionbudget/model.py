@@ -5,7 +5,10 @@ opinions, per-agent persuasion costs, a supporter threshold, and a payment
 budget.  Costs are stored in dollars per *full* unit of opinion change;
 files may declare ``"cost_unit": "per_0.1"`` to supply dollars per +0.1
 instead, which the loader scales on ingest.  Everything downstream runs on
-the row-stochastic confidence matrix derived from the edge weights (CSR).
+the row-stochastic confidence matrix derived from the edge weights (CSR),
+each row divided by its total summed in stored (column) order.  A JSON
+integer too large for a double reads as the infinity of its sign, as the
+literal ``1e400`` does.
 """
 
 import json
@@ -162,6 +165,22 @@ def _numbers(values) -> bool:
     )
 
 
+def _float(v) -> float:
+    """A JSON number as a double; an int past the double range becomes the infinity of its sign, as ``1e400`` parses."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _floats(values) -> np.ndarray:
+    """:func:`_float` of every value: one array conversion, or one per value if some int overflows it."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return np.array(list(map(_float, values)), dtype=float)
+
+
 def _first_edge_fault(edges, known) -> ParseError | None:
     """The :class:`ParseError` of the first malformed edge, in list order.
 
@@ -208,7 +227,7 @@ def _edge_columns(edges: list, index: dict) -> tuple[np.ndarray, np.ndarray, np.
         fault = _first_edge_fault(edges, index)
         if fault is not None:
             raise fault
-    return src, dst, np.array(w, dtype=float)
+    return src, dst, _floats(w)
 
 
 def _check_schema(raw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,12 +285,12 @@ def validate(raw: dict) -> Instance:
     src, dst, w = _check_schema(raw)
     agents = tuple(raw["agents"])
     n = len(agents)
-    opinions = np.asarray(raw["opinions"], dtype=float)
-    costs = np.asarray(raw["costs"], dtype=float)
+    opinions = _floats(raw["opinions"])
+    costs = _floats(raw["costs"])
     if raw.get("cost_unit", "per_unit") == "per_0.1":
         costs = costs * 10.0
-    threshold = float(raw["threshold"])
-    budget = float(raw["budget"])
+    threshold = _float(raw["threshold"])
+    budget = _float(raw["budget"])
 
     violations: list[Violation] = []
     negative, nonfinite = w < 0.0, _nonfinite(w)
@@ -322,52 +341,18 @@ def validate(raw: dict) -> Instance:
     return Instance(agents, src, dst, w, opinions, costs, threshold, budget)
 
 
-def dense_row_sums(rows, cols, values, n: int) -> np.ndarray:
-    """Row sums of sparse entries, bit for bit numpy's ``dense.sum(axis=1)`` over ``n`` columns.
-
-    numpy adds a row along a binary tree fixed by ``n``: a span of over 128
-    columns splits at half its length, rounded down to a multiple of 8; a
-    shorter one folds columns ``j, j + 8, ...`` below its last multiple of 8
-    into accumulator ``j``, adds ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``
-    and folds in the other columns.  A zero leaf changes no partial sum, so
-    each row's entries, in tree order, are merged pairwise, deepest common
-    ancestor first.
-    """
-    r = np.arange(n)  # offset in the current span
-    span, depth, path = np.full(n, n), 0 * r, 0 * r
-    while (big := span > 128).any():
-        half = span // 2 - span // 2 % 8
-        right = big & (r >= half)
-        r, span = r - right * half, np.where(right, span - half, np.where(big, half, span))
-        depth, path = depth + big, path << big | right
-    # Term i of a fold ((t0 + t1) + ...) + t(k-1) sits k - i - (i == 0) levels down, a right child if i > 0.
-    # A span folds k = span % 8 + 1 terms, the first the accumulators' tree (empty below 8 columns);
-    # accumulator r % 8 is that tree's leaf r % 8, 3 levels down, and folds terms r // 8 of m // 8.
-    m = span - span % 8
-    acc = r < m
-    i, k, j, q = np.where(acc, 0, r - m + 1), span % 8 + 1, r // 8, m // 8 + 3
-    d_fold, d_acc = k - i - (i == 0), (q - j - (j == 0)) * acc
-    path = (path << d_fold | (i > 0)) << d_acc | acc * (r % 8 << d_acc - 3 | (j > 0))
-    depth = depth + d_fold + d_acc
-    key = (path << depth.max(initial=0) - depth)[cols]  # root-first branches, left-aligned
-    order = np.lexsort((key, rows))
-    rows, key, vals = rows[order], key[order], values[order]
-    # levels below the deepest common ancestor: the bit length of the keys' xor (exact to 53 levels)
-    gap = np.where(rows[1:] == rows[:-1], np.frexp(key[1:] ^ key[:-1])[1], 0)
-    for level in 1 + np.flatnonzero(np.bincount(gap, minlength=1)[1:]):  # levels present; merging changes no gap
-        left = np.flatnonzero(gap == level)
-        vals[left] += vals[left + 1]
-        rows, vals, gap = np.delete(rows, left + 1), np.delete(vals, left + 1), np.delete(gap, left)
-    return np.bincount(rows, vals, n)
-
-
 def confidence_matrix(instance: Instance) -> ConfidenceMatrix:
-    """Row-normalized weights ``A[i, j] = w_ij / W_i``, in CSR order: one stable sort by (source, target)."""
+    """Row-normalized weights ``A[i, j] = w_ij / W_i``, in CSR order: one stable sort by (source, target).
+
+    ``W_i`` adds row ``i``'s weights one by one in column order (``np.bincount``
+    over the stored entries), so its bits depend on neither BLAS nor numpy's
+    summation tree.
+    """
     n = instance.n
     order = np.argsort(instance.sources * n + instance.targets, kind="stable")
     rows, cols, w = instance.sources[order], instance.targets[order], instance.weights[order]
     indptr = np.searchsorted(rows, np.arange(n + 1))
-    return ConfidenceMatrix(indptr, cols, w / dense_row_sums(rows, cols, w, n)[rows])
+    return ConfidenceMatrix(indptr, cols, w / np.bincount(rows, w, n)[rows])
 
 
 def load_instance(path) -> Instance:
@@ -429,7 +414,7 @@ def load_payments(path, instance: Instance) -> np.ndarray:
     for agent, amount in payments.items():
         if agent not in index:
             raise ParseError(f"payment for unknown agent {agent!r}", field="payments")
-        if not _numbers((amount,)) or not 0 <= amount < math.inf:
+        if not _numbers((amount,)) or not 0 <= (dollars := _float(amount)) < math.inf:
             raise ParseError(f"payment for {agent!r} must be a nonnegative number", field="payments")
-        p[index[agent]] = float(amount)
+        p[index[agent]] = dollars
     return p

@@ -1,5 +1,7 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -257,23 +259,38 @@ def test_node_limit_environment_is_checked_without_transient_states(capsys, monk
         assert run(capsys, *argv)[0] == 0
 
 
+def paper_with(field, value, index=4):
+    """The paper example's document with one number field set to ``value``: an entry of a list, or a scalar."""
+    doc = json.loads(PAPER_EXAMPLE.read_text())
+    if field == "opinion":
+        doc["opinions"][index] = value
+    elif field == "cost":
+        doc["costs"][index] = value
+    elif field == "weight":
+        doc["edges"][index]["w"] = value
+    else:
+        doc[field] = value
+    return doc
+
+
+#: Stands for a number in a document until its JSON text is spliced in.
+MARK = "number-goes-here"
+
+
+def write_with_number(path, doc, literal):
+    """Write ``doc`` as JSON with the string ``MARK`` replaced by the raw JSON text ``literal``."""
+    path.write_text(json.dumps(doc).replace(json.dumps(MARK), literal))
+    return str(path)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize("field, code", [
     ("opinion", "OpinionOutOfRange"), ("cost", "NonFiniteCost"), ("weight", "NonFiniteWeight"),
     ("threshold", "ThresholdOutOfRange"), ("budget", "NonFiniteBudget"),
 ])
 def test_nonfinite_number_exit_1(capsys, tmp_path, field, code, value):
-    doc = json.loads(PAPER_EXAMPLE.read_text())
-    if field == "opinion":
-        doc["opinions"][4] = value
-    elif field == "cost":
-        doc["costs"][4] = value
-    elif field == "weight":
-        doc["edges"][4]["w"] = value
-    else:
-        doc[field] = value
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))  # json writes NaN / Infinity, and reads them back
+    bad.write_text(json.dumps(paper_with(field, value)))  # json writes NaN / Infinity, and reads them back
     for command in ("validate", "solve"):
         status, out = run(capsys, command, str(bad))
         payload = json.loads(out)
@@ -289,6 +306,49 @@ def test_simulate_rejects_nonfinite_payment(capsys, tmp_path, amount):
     code, out = run(capsys, "simulate", PAPER, "--plan", str(plan_path))
     assert code == 1
     assert json.loads(out)["error"] == "parse_error"
+
+
+#: Where one number of an input can sit: a field of the instance, or the plan's payment.
+NUMBER_FIELDS = ("budget", "threshold", "opinion", "cost", "weight", "payment")
+#: JSON texts for it: out of the double range, non-finite, signed zero, and not numbers at all.
+NUMBER_TEXTS = ("1" + "0" * 400, "-1" + "0" * 400, "1e400", "-1e400", "NaN", "-0.0", "true", '"1"', "null")
+
+
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_integer_past_the_double_range_reads_as_the_float_literal(capsys, tmp_path, field, sign):
+    # JSON integers are unbounded; 1e400 already parses as infinity
+    outputs = []
+    for literal in (sign + "1" + "0" * 400, sign + "1e400"):
+        if field == "payment":
+            argv = ("simulate", PAPER, "--plan", write_with_number(tmp_path / "plan.json", {"payments": {"j": MARK}},
+                                                                   literal))
+        else:
+            argv = ("validate", write_with_number(tmp_path / "bad.json", paper_with(field, MARK), literal))
+        outputs.append(run(capsys, *argv))
+    assert outputs[0] == outputs[1]
+    code, out = outputs[0]
+    assert code == 1
+    assert json.loads(out)["error"] == ("parse_error" if field == "payment" else "invalid_instance")
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.sampled_from(NUMBER_FIELDS), st.integers(0, 11), st.sampled_from(NUMBER_TEXTS))
+def test_no_number_in_an_input_file_crashes_the_cli(tmp_path_factory, field, index, literal):
+    tmp = tmp_path_factory.mktemp("numbers")
+    plan = {"payments": {"j": 100.0, "k": 50.0}}
+    if field == "payment":
+        plan["payments"][["j", "k"][index % 2]] = MARK
+        instance = PAPER
+    else:
+        instance = write_with_number(tmp / "instance.json", paper_with(field, MARK, index), literal)
+    plan_path = write_with_number(tmp / "plan.json", plan, literal)
+    for argv in (("validate", instance), ("solve", instance), ("simulate", instance, "--plan", plan_path)):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(list(argv))
+        assert code in (0, 1), argv
+        if code:
+            assert "error" in json.loads(out.getvalue()), argv
 
 
 @pytest.mark.parametrize("value", ["-5", "nan", "inf"])

@@ -1,10 +1,11 @@
-"""The sparse (CSR) chain against a dense reference kept here: row sums, partition, class blocks, hitting block.
+"""The sparse (CSR) chain against a dense reference kept here: row totals, partition, class blocks, hitting block.
 
 The library never forms an n x n array; these tests build the dense
-matrix the way the library once did and require the sparse layers to
-give the same bits.
+matrix and require the sparse layers to give the same bits.  Each dense
+row is divided by its column-order total, the one sum the library forms.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,38 +14,58 @@ import pytest
 from opinionbudget.chain_analysis import analyze, hitting_probabilities
 from opinionbudget.decompose import class_blocks, decompose
 from opinionbudget.knapsack import solve_by_classes
-from opinionbudget.model import confidence_matrix, dense_row_sums, validate
+from opinionbudget.model import ROW_SUM_TOL, Instance, confidence_matrix, validate
 
 from conftest import classes_raw, dense, random_raw
 from test_decompose import brute_force_partition
 
 
+def column_order_totals(w):
+    """Each row of a dense array added one column at a time, left to right: ``cumsum``'s last column."""
+    return np.cumsum(w, axis=1)[:, -1:]
+
+
 def dense_reference(instance):
-    """The dense confidence matrix: weights scattered into an n x n array, each row divided by its numpy sum."""
+    """The dense confidence matrix: weights scattered into an n x n array, each row divided by its column-order total."""
     w = np.zeros((instance.n, instance.n))
     w[instance.sources, instance.targets] = instance.weights
-    return w / w.sum(axis=1, keepdims=True)
+    return w / column_order_totals(w)
+
+
+def instance_of(sources, targets, weights, n):
+    """An :class:`Instance` of ``n`` agents with these edge columns; no chain layer reads its other fields."""
+    return Instance(tuple(f"v{i}" for i in range(n)), sources, targets, weights, np.zeros(n), np.ones(n), 0.5, 0.0)
 
 
 @pytest.mark.parametrize("n", [30, 200, 1000, 2000])
-def test_dense_row_sums_match_numpy_bitwise(n):
+def test_confidence_matrix_divides_by_column_order_totals(n):
     rng = np.random.default_rng(n)
-    a = np.zeros((n, n))
+    w = np.zeros((n, n))
     # rows of every density, weights over six decades so that the order of the additions shows
     mask = rng.random((n, n)) < rng.choice([0.003, 0.03, 0.3, 1.0], size=(n, 1))
-    # a quarter of the rows only around the 128-column block boundaries, where spans split
+    # a quarter of the rows only around the 128-column block boundaries, where numpy's pairwise sum splits
     edge = (np.arange(n) % 128 < 6) | (np.arange(n) % 128 >= 122)
     mask[: n // 4] = (rng.random((n // 4, n)) < 0.5) & edge
-    a[mask] = rng.uniform(0.1, 1.0, mask.sum()) * 10.0 ** rng.integers(-3, 3, mask.sum())
-    rows, cols = np.nonzero(a)
-    sums = dense_row_sums(rows, cols, a[rows, cols], n)
-    assert sums.tobytes() == a.sum(axis=1).tobytes()
-    # the data tells the summation orders apart: adding in column order misses some rows' bits
-    assert (np.bincount(rows, a[rows, cols], n) != a.sum(axis=1)).any()
+    np.fill_diagonal(mask, True)  # every agent trusts itself
+    w[mask] = rng.uniform(0.1, 1.0, mask.sum()) * 10.0 ** rng.integers(-3, 3, mask.sum())
+    rows, cols = np.nonzero(w)
+    cm = confidence_matrix(instance_of(rows, cols, w[rows, cols], n))
+    assert dense(cm).tobytes() == (w / column_order_totals(w)).tobytes()
+    # the data tells the summation orders apart: numpy's pairwise row sums miss some rows' bits
+    assert (w.sum(axis=1, keepdims=True) != column_order_totals(w)).any()
 
 
-def test_dense_row_sums_without_entries():
-    assert dense_row_sums(np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0), 3).tolist() == [0.0] * 3
+def test_one_long_row_sums_to_one():
+    # one agent trusts 20,000 others with weights over six decades; the rest trust only themselves
+    m = 20_000
+    rng = np.random.default_rng(20)
+    weights = rng.uniform(0.1, 1.0, m + 1) * 10.0 ** rng.integers(-3, 3, m + 1)
+    sources = np.concatenate([np.zeros(m + 1, np.intp), np.arange(1, m + 1)])
+    targets = np.concatenate([np.arange(m + 1), np.arange(1, m + 1)])
+    cm = confidence_matrix(instance_of(sources, targets, np.concatenate([weights, np.ones(m)]), m + 1))
+    row = cm.data[cm.indptr[0]:cm.indptr[1]]
+    assert len(row) == m + 1
+    assert abs(math.fsum(row) - 1.0) <= ROW_SUM_TOL
 
 
 def wide_transients_raw(rng, n_recurrent, n_transient):
