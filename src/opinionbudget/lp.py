@@ -35,7 +35,6 @@ the same pivots and the same result.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -330,7 +329,7 @@ class _Simplex:
         if status != "optimal":
             return LpResult(status, None, None, spent + self.pivots)
         x = self.x[: self.n].copy()
-        _verify(lp, x)
+        _verify(lp, self.data, x)
         basis = None
         if (self.basis < self.n_real).all():
             self.binv.flags.writeable = False
@@ -389,22 +388,13 @@ def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:
     return state.result(lp, state.run(c), spent)
 
 
-@lru_cache(maxsize=16)
-def _sense_masks(senses: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only masks of the rows with an upper ("<=", "=") and a lower (">=", "=") side."""
-    masks = (np.array([s != ">=" for s in senses], dtype=bool),
-             np.array([s != "<=" for s in senses], dtype=bool))
-    for mask in masks:
-        mask.flags.writeable = False
-    return masks
-
-
-def _verify(lp: LinearProgram, x: np.ndarray) -> None:
+def _verify(lp: LinearProgram, data: Extended, x: np.ndarray) -> None:
+    """Check ``x`` against the bounds and against each row's slack ``-err``, which
+    must lie within the row's slack bounds up to ``FEAS_TOL``."""
     if ((x < np.asarray(lp.lower) - BOUND_TOL) | (x > np.asarray(lp.upper) + BOUND_TOL)).any():
         raise NumericalFailure("solution violates variable bounds")
     err = lp.rows @ x - lp.rhs
-    capped, floored = _sense_masks(lp.senses)
-    bad = (capped & (err > FEAS_TOL)) | (floored & (err < -FEAS_TOL))
+    bad = (-err < data.slack_lower - FEAS_TOL) | (-err > data.slack_upper + FEAS_TOL)
     if bad.any():
         r = int(bad.argmax())  # the first violated row
         raise NumericalFailure(f"row {r} violated by {err[r]:.3e}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain_analysis import ChainAnalysis, analyze, checked_budget, evaluate_plan, is_supporter
-from .decompose import Decomposition, decompose
+from .decompose import decompose
 from .knapsack import solve_by_classes
 from .lp import FEAS_TOL, PRIMAL_PIVOT_TOL, LinearProgram, LpResult, crash_basis, solve_lp
 from .model import Instance, PaymentPlan, confidence_matrix
@@ -48,10 +48,12 @@ class MilpInstance:
     """Data of the linearized supporter problem for one budget.
 
     ``pay_agents`` are the recurrent agents in ascending order (the only
-    ones whose payments matter), ``caps`` their maximum useful payments,
-    and ``rates[i, a]`` the increase of agent ``i``'s limit opinion per
-    dollar paid to ``pay_agents[a]``; all three are read-only arrays.  The
-    remaining figures are read from the instance and the analysis.
+    ones whose payments matter) and ``caps`` their maximum useful payments.
+    The decision units are the ergodic classes in order, then each transient
+    agent alone: unit ``u`` has ``sizes[u]`` agents, the zero-payment limit
+    ``base[u]``, and ``lift[u, a]`` is the rise of that limit per dollar paid
+    to ``pay_agents[a]``.  All five are read-only arrays.  The remaining
+    figures are read from the instance and the analysis.
     """
 
     instance: Instance
@@ -59,7 +61,9 @@ class MilpInstance:
     budget: float
     pay_agents: np.ndarray
     caps: np.ndarray
-    rates: np.ndarray
+    sizes: np.ndarray
+    base: np.ndarray
+    lift: np.ndarray
 
     @property
     def threshold(self) -> float:
@@ -69,6 +73,14 @@ class MilpInstance:
     def baseline(self) -> np.ndarray:
         """Zero-payment asymptotic opinions."""
         return self.analysis.asymptotic
+
+    @property
+    def rates(self) -> np.ndarray:
+        """Per-agent ``lift``: row ``i`` is the row of agent ``i``'s unit; only the HiGHS cross-checks read it."""
+        d = self.analysis.decomposition
+        unit = d.class_of.copy()
+        unit[list(d.transient)] = len(d.classes) + np.arange(d.n_transient)
+        return self.lift[unit]
 
     @property
     def lower_bound(self) -> float:
@@ -107,52 +119,43 @@ class SweepCurve:
 def build_milp(instance: Instance, analysis: ChainAnalysis, budget: float | None = None) -> MilpInstance:
     """Assemble the linearized problem data from a completed chain analysis.
 
-    A dollar to agent ``a`` of class ``k`` lifts a member of ``k`` by ``pi[a] / c_a``, and the
-    ``j``-th transient agent by ``hitting[k, j]`` times that.
-    Raises ``ValueError`` on a negative or non-finite budget.
+    A dollar to agent ``a`` of class ``k`` lifts class ``k`` by ``pi[a] / c_a``, and the
+    ``j``-th transient agent by ``hitting[k, j]`` times that; a class's limit is its
+    consensus.  Raises ``ValueError`` on a negative or non-finite budget.
     """
     d = analysis.decomposition
     b = checked_budget(instance, budget)
     pay = np.flatnonzero(d.class_of >= 0)
     caps = instance.costs[pay] * (1.0 - instance.true_opinions[pay])
-    # the hitting factor, scaled in place: one (agents x recurrent) array
-    rates = (d.class_of[:, None] == d.class_of[pay]).astype(float)
-    rates[list(d.transient)] = analysis.hitting[d.class_of[pay]].T
-    rates *= analysis.pi[pay]
-    rates /= instance.costs[pay]
-    for a in (pay, caps, rates):
+    k = d.class_of[pay]
+    sizes = np.array(d.sizes + (1,) * d.n_transient, dtype=float)
+    base = np.concatenate([analysis.consensus, analysis.asymptotic[list(d.transient)]])
+    # class one-hots over the transient hitting rows, scaled in place: one (units x recurrent) array
+    lift = np.vstack([np.arange(len(d.classes))[:, None] == k, analysis.hitting[k].T])
+    lift *= analysis.pi[pay]
+    lift /= instance.costs[pay]
+    for a in (pay, caps, sizes, base, lift):
         a.flags.writeable = False
-    return MilpInstance(instance, analysis, b, pay, caps, rates)
+    return MilpInstance(instance, analysis, b, pay, caps, sizes, base, lift)
 
 
-def _units(decomposition: Decomposition) -> list[tuple[int, ...]]:
-    """Decision units: each ergodic class, then each transient agent alone.
-
-    Members of a class share their limit opinion, so the first member
-    stands for the whole class in its linking row.
-    """
-    return ([tuple(members) for members in decomposition.classes]
-            + [(t,) for t in decomposition.transient])
-
-
-def _node_program(mi: MilpInstance, units, zlo, zup, objective, min_count=None) -> LinearProgram:
+def _node_program(mi: MilpInstance, zlo, zup, objective, min_count=None) -> LinearProgram:
     """LP over [payments | indicators], one indicator per class / transient agent.
 
-    Rows: the budget, one exact linking row per unit with representative ``r``
-    ``(x* - baseline_r)+ z_u - sum_a rates[r, a] p_a <= 0`` (payments must
+    Rows: the budget, one exact linking row per unit
+    ``(x* - base_u)+ z_u - sum_a lift[u, a] p_a <= 0`` (payments must
     lift the unit's limit by its own gap), and optionally a minimum
-    supporter-count row ``sum_u |u| z_u >= min_count``.
+    supporter-count row ``sum_u sizes_u z_u >= min_count``.
     """
-    q, k = len(mi.pay_agents), len(units)
-    reps = [u[0] for u in units]
+    q, k = len(mi.pay_agents), len(mi.sizes)
     rows = np.zeros((1 + k + (min_count is not None), q + k))
     rows[0, :q] = 1.0
-    rows[1:1 + k, :q] = -mi.rates[reps]
-    rows[1:1 + k, q:] = np.diag(np.maximum(mi.threshold - mi.baseline[reps], 0.0))
+    rows[1:1 + k, :q] = -mi.lift
+    rows[1:1 + k, q:] = np.diag(np.maximum(mi.threshold - mi.base, 0.0))
     rhs = [mi.budget] + [0.0] * k
     senses = ("<=",) * (1 + k)
     if min_count is not None:
-        rows[-1, q:] = [len(u) for u in units]
+        rows[-1, q:] = mi.sizes
         rhs.append(float(min_count))
         senses += (">=",)
     lower = np.concatenate([np.zeros(q), zlo])
@@ -173,11 +176,11 @@ def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(differ.size) and bool(a[differ[0]] < b[differ[0]])
 
 
-def _min_spend_for_set(mi: MilpInstance, units, chosen: np.ndarray) -> LpResult:
+def _min_spend_for_set(mi: MilpInstance, chosen: np.ndarray) -> LpResult:
     """Cheapest payments making every unit with ``chosen[u] == 1`` a supporter."""
     zfix = np.asarray(chosen, dtype=float)
-    objective = np.concatenate([-np.ones(len(mi.pay_agents)), np.zeros(len(units))])
-    return solve_lp(_node_program(mi, units, zfix, zfix, objective))
+    objective = np.concatenate([-np.ones(len(mi.pay_agents)), np.zeros(len(mi.sizes))])
+    return solve_lp(_node_program(mi, zfix, zfix, objective))
 
 
 def _round_payments_up(pay: np.ndarray, caps: np.ndarray, budget: float) -> np.ndarray:
@@ -188,14 +191,14 @@ def _round_payments_up(pay: np.ndarray, caps: np.ndarray, budget: float) -> np.n
     return pay.copy()
 
 
-def _won(mi: MilpInstance, reps, pay_q: np.ndarray) -> np.ndarray:
-    """Mask of the units, given by their representatives, that payments ``pay_q`` win."""
-    return is_supporter(mi.baseline[reps] + mi.rates[reps] @ pay_q, mi.threshold)
+def _won(mi: MilpInstance, pay_q: np.ndarray) -> np.ndarray:
+    """Mask of the units that payments ``pay_q`` win."""
+    return is_supporter(mi.base + mi.lift @ pay_q, mi.threshold)
 
 
 def _unit_prices(lift: np.ndarray, caps: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Each unit's lone price: the least payment within ``caps`` that lifts its
-    representative (row of ``lift``) by its gap less ``FEAS_TOL``, inf if none does.
+    limit (row of ``lift``) by its gap less ``FEAS_TOL``, inf if none does.
 
     One fractional knapsack per row, fastest-lifting payers paid first; for a
     class this is its greedy class price."""
@@ -318,33 +321,26 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
     marked "heuristic".
     """
     node_limit = resolve_node_limit(node_limit)
-    q = len(mi.pay_agents)
-    d = mi.analysis.decomposition
-    units = _units(d)
-    reps, sizes = [u[0] for u in units], np.array([len(u) for u in units], dtype=float)
-    free = np.zeros(len(units)), np.ones(len(units))
-    base, lift = mi.baseline[reps], mi.rates[reps]
-    gaps = np.maximum(mi.threshold - base, 0.0)
-
-    def won(pay):
-        return is_supporter(base + lift @ pay, mi.threshold)
+    q, k, sizes = len(mi.pay_agents), len(mi.sizes), mi.sizes
+    free = np.zeros(k), np.ones(k)
+    gaps = np.maximum(mi.threshold - mi.base, 0.0)
 
     # Classes have disjoint payers, so the prices of classes fixed to 1 add up;
     # a transient unit shares payers and bounds the spend only by its own price.
-    prices, classes = _unit_prices(lift, mi.caps, gaps), len(d.classes)
+    prices, classes = _unit_prices(mi.lift, mi.caps, gaps), len(mi.analysis.decomposition.classes)
 
     def unpayable(zlo):
         fixed = np.where(zlo > 0.0, prices, 0.0)
         return max(fixed[:classes].sum(), fixed[classes:].max(initial=0.0)) > mi.budget + FEAS_TOL
 
     # Pass 1: maximize the number of supporters; every node's payments are a plan.
-    best_won = won(np.zeros(q))
+    best_won = _won(mi, np.zeros(q))
     best_count = int(sizes @ best_won)
     tied = []  # (bound, lower, upper) of closed nodes whose bound reached the count of their time
 
     def visit_count(res, lower, upper, integral):
         nonlocal best_count, best_won
-        won_now = won(res.x[:q])
+        won_now = _won(mi, res.x[:q])
         if (count := int(sizes @ won_now)) > best_count:
             best_count, best_won = count, won_now
         bound = math.floor(res.objective + INT_TOL)
@@ -353,11 +349,11 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
             tied.append((bound, lower, upper))
         return cut
 
-    count_lp = _node_program(mi, units, *free, np.concatenate([np.zeros(q), sizes]))
+    count_lp = _node_program(mi, *free, np.concatenate([np.zeros(q), sizes]))
     # crash start: each unit's indicator basic in its linking row (its slack where
     # the gap is nil), the budget slack basic; feasible at zero payments
-    n = q + len(units)
-    crash = np.where(gaps > PRIMAL_PIVOT_TOL, q + np.arange(len(units)), n + 1 + np.arange(len(units)))
+    n = q + k
+    crash = np.where(gaps > PRIMAL_PIVOT_TOL, q + np.arange(k), n + 1 + np.arange(k))
     nodes, unexplored = _branch_and_bound(count_lp, q, visit_count, node_limit,
                                           start=crash_basis(count_lp, np.append(n, crash)),
                                           unpayable=unpayable)
@@ -366,7 +362,7 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
     boxes = [(lower, upper) for bound, lower, upper in tied if bound >= best_count] + unexplored
 
     # Pass 2: cheapest certificate for the optimal count, searched only in those boxes.
-    seed = _min_spend_for_set(mi, units, best_won)
+    seed = _min_spend_for_set(mi, best_won)
     if seed.status != "optimal":
         raise RuntimeError("incumbent supporter set lost feasibility")  # pragma: no cover
     best_spend, best_pay = -seed.objective, seed.x[:q]
@@ -376,12 +372,11 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
         spend, pay = -res.objective, res.x[:q]
         cheaper = spend < best_spend - SPEND_TOL or (
             spend <= best_spend + SPEND_TOL and _lex_smaller(pay, best_pay))
-        if cheaper and sizes @ won(pay) >= best_count:
+        if cheaper and sizes @ _won(mi, pay) >= best_count:
             best_spend, best_pay = spend, pay
         return spend > best_spend + SPEND_TOL
 
-    spend_lp = _node_program(mi, units, *free, np.concatenate([-np.ones(q), np.zeros(len(units))]),
-                             min_count=best_count)
+    spend_lp = _node_program(mi, *free, np.concatenate([-np.ones(q), np.zeros(k)]), min_count=best_count)
     more, left = _branch_and_bound(spend_lp, q, visit_spend, node_limit - nodes, boxes,
                                    unpayable=unpayable)
     return _finish(mi, best_pay, nodes + more, not (unexplored or left), round_dollars, best_count)
@@ -400,22 +395,22 @@ def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
     if instance.n > 15:
         raise TooLarge(f"enumeration oracle supports at most 15 agents, got {instance.n}")
     mi = build_milp(instance, analysis, budget)
-    q = len(mi.pay_agents)
-    units = _units(mi.analysis.decomposition)
+    q, d = len(mi.pay_agents), analysis.decomposition
+    members = d.classes + tuple((t,) for t in d.transient)
     candidates = []
-    for mask in range(1, 1 << len(units)):
-        chosen = [mask >> u & 1 for u in range(len(units))]
-        agents = tuple(sorted(a for u, unit in enumerate(units) if chosen[u] for a in unit))
+    for mask in range(1, 1 << len(members)):
+        chosen = [mask >> u & 1 for u in range(len(members))]
+        agents = tuple(sorted(a for u, unit in enumerate(members) if chosen[u] for a in unit))
         candidates.append((agents, chosen))
     candidates.sort(key=lambda c: (-len(c[0]), c[0]))
 
-    reachable = _won(mi, [u[0] for u in units], mi.caps)  # units won when every cap is paid
+    reachable = _won(mi, mi.caps)  # units won when every cap is paid
     tried = 0
     for agents, chosen in candidates:
         if not reachable[np.flatnonzero(chosen)].all():
             continue
         tried += 1
-        res = _min_spend_for_set(mi, units, chosen)
+        res = _min_spend_for_set(mi, chosen)
         if res.status == "optimal":
             return _finish(mi, res.x[:q], tried, True, round_dollars, len(agents))
     return _finish(mi, np.zeros(q), tried, True, round_dollars)

@@ -304,12 +304,14 @@ def validate(raw: dict) -> Instance:
     positive = w > 0.0
     src, dst, w = src[positive], dst[positive], w[positive]  # the instance's edge columns
     # bincount adds each row's weights in edge order
-    empty_row = np.bincount(src, weights=w, minlength=n) <= 0.0
+    total = np.bincount(src, weights=w, minlength=n)
+    empty_row, overflow_row = total <= 0.0, total == np.inf
+    overflow_row[src[w == np.inf]] = False  # an infinite weight is reported with its edge
     no_self = np.ones(n, dtype=bool)
     no_self[src[src == dst]] = False
     bad_opinion = ~((0.0 <= opinions) & (opinions <= 1.0))
     bad_cost, nonfinite_cost = costs <= 0.0, _nonfinite(costs)
-    for i in np.flatnonzero(no_self | empty_row | bad_opinion | bad_cost | nonfinite_cost).tolist():
+    for i in np.flatnonzero(no_self | empty_row | overflow_row | bad_opinion | bad_cost | nonfinite_cost).tolist():
         a = agents[i]
         if no_self[i]:
             violations.append(Violation("NoSelfConfidence", a,
@@ -317,6 +319,9 @@ def validate(raw: dict) -> Instance:
         if empty_row[i]:
             violations.append(Violation("NonStochasticRow", a,
                                         f"agent {a!r} has zero total outgoing weight; row cannot be normalized"))
+        if overflow_row[i]:
+            violations.append(Violation("NonStochasticRow", a,
+                                        f"agent {a!r} has infinite total outgoing weight; row cannot be normalized"))
         if bad_opinion[i]:
             violations.append(Violation("OpinionOutOfRange", a,
                                         f"opinion {opinions[i]} of agent {a!r} is outside [0, 1]"))

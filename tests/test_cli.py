@@ -273,6 +273,22 @@ def paper_with(field, value, index=4):
     return doc
 
 
+def test_row_total_overflow_names_the_agent(capsys, tmp_path):
+    # two finite weights of agent a add up to inf: normalizing its row would divide by it
+    doc = json.loads(PAPER_EXAMPLE.read_text())
+    for edge in doc["edges"][:2]:
+        assert edge["from"] == "a"
+        edge["w"] = 1e308
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("validate", "solve"):
+        status, out = run(capsys, command, str(bad))
+        assert status == 1
+        assert json.loads(out) == {"error": "invalid_instance", "violations": [{
+            "code": "NonStochasticRow", "agent": "a",
+            "message": "agent 'a' has infinite total outgoing weight; row cannot be normalized"}]}
+
+
 #: Stands for a number in a document until its JSON text is spliced in.
 MARK = "number-goes-here"
 

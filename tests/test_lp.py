@@ -11,7 +11,7 @@ import opinionbudget.lp as lp_module
 from opinionbudget.chain_analysis import analyze
 from opinionbudget.decompose import decompose
 from opinionbudget.lp import LinearProgram, NumericalFailure, solve_lp
-from opinionbudget.milp import build_milp, _node_program, _units
+from opinionbudget.milp import build_milp, _node_program
 from opinionbudget.model import confidence_matrix, validate
 
 from conftest import random_raw, tiled_paper
@@ -141,11 +141,9 @@ def test_paper_relaxation_attains_trivial_bound(paper_instance, paper_analysis):
     # relaxing the supporter indicators at budget 309 still cannot beat n,
     # and the integer optimum attains it, so the relaxation value is 12
     mi = build_milp(paper_instance, paper_analysis, budget=309.0)
-    q = len(mi.pay_agents)
-    units = _units(paper_analysis.decomposition)
-    sizes = np.array([len(u) for u in units], dtype=float)
-    objective = np.concatenate([np.zeros(q), sizes])
-    lp = _node_program(mi, units, np.zeros(len(units)), np.ones(len(units)), objective)
+    q, k = len(mi.pay_agents), len(mi.sizes)
+    objective = np.concatenate([np.zeros(q), mi.sizes])
+    lp = _node_program(mi, np.zeros(k), np.ones(k), objective)
     res = solve_lp(lp)
     assert res.status == "optimal"
     assert abs(res.objective - 12.0) <= 1e-7
@@ -161,7 +159,7 @@ def test_shape_validation():
 
 
 def _dive_programs(seed):
-    """(MilpInstance, units, objective, min_count) from random instances and the tiled example.
+    """(MilpInstance, objective, min_count) from random instances and the tiled example.
 
     Both objectives of the branch and bound: the supporter count, and the
     spend under a minimum supporter-count row."""
@@ -177,22 +175,20 @@ def _dive_programs(seed):
         mi = build_milp(inst, an, budget=float(budget))
         if mi.degenerate:
             continue
-        units = _units(an.decomposition)
-        q, sizes = len(mi.pay_agents), np.array([len(u) for u in units], dtype=float)
-        out.append((mi, units, np.concatenate([np.zeros(q), sizes]), None))
-        out.append((mi, units, np.concatenate([-np.ones(q), np.zeros(len(units))]),
-                    int(sizes.sum() // 3)))
+        q = len(mi.pay_agents)
+        out.append((mi, np.concatenate([np.zeros(q), mi.sizes]), None))
+        out.append((mi, np.concatenate([-np.ones(q), np.zeros(len(mi.sizes))]), int(mi.sizes.sum() // 3)))
     return out
 
 
 def test_warm_start_matches_cold_under_random_fixings():
     rng = np.random.default_rng(131)
     statuses = collections.Counter()
-    for mi, units, objective, min_count in _dive_programs(137):
-        k = len(units)
+    for mi, objective, min_count in _dive_programs(137):
+        k = len(mi.sizes)
         for _ in range(4):
             zlo, zup = np.zeros(k), np.ones(k)
-            parent = solve_lp(_node_program(mi, units, zlo, zup, objective, min_count))
+            parent = solve_lp(_node_program(mi, zlo, zup, objective, min_count))
             for var in rng.permutation(k):
                 if parent.status != "optimal" or parent.basis is None:
                     break
@@ -202,7 +198,7 @@ def test_warm_start_matches_cold_under_random_fixings():
                 else:
                     zup = zup.copy()
                     zup[var] = 0.0
-                lp = _node_program(mi, units, zlo, zup, objective, min_count)
+                lp = _node_program(mi, zlo, zup, objective, min_count)
                 warm, cold = solve_lp(lp, parent.basis), solve_lp(lp)
                 assert warm.status == cold.status
                 if cold.status == "optimal":
@@ -217,11 +213,10 @@ def infeasible_child(paper_instance, paper_analysis):
     """A paper-example node at budget 99 with every unit fixed a supporter,
     and the optimal basis of its root relaxation."""
     mi = build_milp(paper_instance, paper_analysis, budget=99.0)
-    units = _units(paper_analysis.decomposition)
-    k = len(units)
-    objective = np.concatenate([np.zeros(len(mi.pay_agents)), [len(u) for u in units]])
-    root = solve_lp(_node_program(mi, units, np.zeros(k), np.ones(k), objective))
-    return _node_program(mi, units, np.ones(k), np.ones(k), objective), root.basis
+    k = len(mi.sizes)
+    objective = np.concatenate([np.zeros(len(mi.pay_agents)), mi.sizes])
+    root = solve_lp(_node_program(mi, np.zeros(k), np.ones(k), objective))
+    return _node_program(mi, np.ones(k), np.ones(k), objective), root.basis
 
 
 def test_warm_infeasible_verdict_is_farkas_checked(monkeypatch, infeasible_child):
@@ -315,9 +310,9 @@ def _warm_chains(rng):
     programs of ``_dive_programs`` over their indicator bounds, and random
     bounded programs over all their bounds."""
     chains = []
-    for mi, units, objective, min_count in _dive_programs(151)[::2]:
-        k = len(units)
-        chains.append((functools.partial(_node_program, mi, units, objective=objective, min_count=min_count),
+    for mi, objective, min_count in _dive_programs(151)[::2]:
+        k = len(mi.sizes)
+        chains.append((functools.partial(_node_program, mi, objective=objective, min_count=min_count),
                        np.zeros(k), np.ones(k)))
     for _ in range(12):
         n, m = int(rng.integers(4, 9)), int(rng.integers(2, 7))
@@ -369,14 +364,13 @@ def test_still_optimal_start_makes_no_factorization(monkeypatch):
     cm = confidence_matrix(inst)
     an = analyze(cm, decompose(cm), inst.true_opinions)
     mi = build_milp(inst, an, budget=169.0)
-    units = _units(an.decomposition)
-    q, k = len(mi.pay_agents), len(units)
-    objective = np.concatenate([np.zeros(q), [len(u) for u in units]])
-    root = solve_lp(_node_program(mi, units, np.zeros(k), np.ones(k), objective))
+    q, k = len(mi.pay_agents), len(mi.sizes)
+    objective = np.concatenate([np.zeros(q), mi.sizes])
+    root = solve_lp(_node_program(mi, np.zeros(k), np.ones(k), objective))
     u = next(u for u in range(k) if q + u not in root.basis.basic)
     zlo, zup = np.zeros(k), np.ones(k)
     zlo[u] = zup[u] = root.x[q + u]  # fix a nonbasic unit where the parent leaves it
-    child = _node_program(mi, units, zlo, zup, objective)
+    child = _node_program(mi, zlo, zup, objective)
 
     calls = collections.Counter()
     for name in ("inv", "solve", "lstsq", "pinv"):
@@ -399,15 +393,16 @@ def test_still_optimal_start_makes_no_factorization(monkeypatch):
 def test_verify_reports_the_first_violated_row():
     lp = LinearProgram(np.zeros(2), np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, -1.0]]),
                        ("<=", ">=", "=", "<="), np.array([1.0, 5.0, 4.0, 0.0]), np.zeros(2), np.full(2, 5.0))
-    lp_module._verify(lp, np.array([1.0, 4.0 - 1e-8]))  # within FEAS_TOL of every row
+    data = lp_module.Extended.of(lp)
+    lp_module._verify(lp, data, np.array([1.0, 4.0 - 1e-8]))  # within FEAS_TOL of every row
     with pytest.raises(NumericalFailure, match=r"^row 1 violated by -1\.000e-06$"):
-        lp_module._verify(lp, np.array([1.0, 4.0 - 1e-6]))  # rows 1 and 2 fail
+        lp_module._verify(lp, data, np.array([1.0, 4.0 - 1e-6]))  # rows 1 and 2 fail
     with pytest.raises(NumericalFailure, match=r"^row 2 violated by 1\.000e\+00$"):
-        lp_module._verify(lp, np.array([0.0, 5.0]))  # an "=" row above its rhs
+        lp_module._verify(lp, data, np.array([0.0, 5.0]))  # an "=" row above its rhs
     with pytest.raises(NumericalFailure, match=r"^row 0 violated by"):
-        lp_module._verify(lp, np.array([2.0, 2.0]))
+        lp_module._verify(lp, data, np.array([2.0, 2.0]))
     with pytest.raises(NumericalFailure, match="variable bounds"):
-        lp_module._verify(lp, np.array([-1.0, 2.0]))
+        lp_module._verify(lp, data, np.array([-1.0, 2.0]))
 
 
 def test_tie_rules_of_the_primal_iteration():

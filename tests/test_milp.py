@@ -25,7 +25,6 @@ from opinionbudget.milp import (
     _lex_smaller,
     _min_spend_for_set,
     _node_program,
-    _units,
     _won,
     brute_force_oracle,
     budget_sweep,
@@ -250,11 +249,10 @@ def test_tiled_paper_branches_on_units(budget, count, per_agent_nodes):
 def test_exact_linking_rows_tiled_four_copies(paper_instance, paper_analysis):
     # a unit's indicator asks payments for exactly its own gap to the threshold
     mi = build_milp(paper_instance, paper_analysis)
-    units = _units(paper_analysis.decomposition)
-    q, k = len(mi.pay_agents), len(units)
-    lp = _node_program(mi, units, np.zeros(k), np.ones(k), np.zeros(q + k))
-    for u, unit in enumerate(units):
-        gap = max(mi.threshold - mi.baseline[unit[0]], 0.0)
+    q, k = len(mi.pay_agents), len(mi.sizes)
+    lp = _node_program(mi, np.zeros(k), np.ones(k), np.zeros(q + k))
+    for u in range(k):
+        gap = max(mi.threshold - mi.base[u], 0.0)
         assert np.array_equal(lp.rows[1 + u, q:], gap * np.eye(k)[u])
         assert lp.rhs[1 + u] == 0.0
 
@@ -405,8 +403,8 @@ def test_every_node_payments_are_judged_as_a_plan():
 
 
 def test_build_milp_holds_one_dense_rates_array():
-    # dense classes plus one transient agent: rates is (agents x recurrent
-    # agents), and build_milp scales its indicator array in place into it
+    # dense classes plus one transient agent: lift is (units x recurrent
+    # agents), and build_milp scales its class one-hots in place into it
     raw = classes_raw(np.random.default_rng(13), 1200, budget=300.0)
     raw["agents"].append("t")
     raw["edges"] += [{"from": "t", "to": "t", "w": 1.0}, {"from": "t", "to": "v0", "w": 1.0}]
@@ -422,9 +420,28 @@ def test_build_milp_holds_one_dense_rates_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mi.rates.shape == (1201, 1200) and mi.rates.flags.c_contiguous
-    dense = mi.rates.nbytes
+    assert mi.lift.shape == (len(an.decomposition.classes) + 1, 1200) and mi.lift.flags.c_contiguous
+    dense = mi.lift.nbytes
     assert peak <= 1.5 * dense, f"peak {peak / dense:.2f} dense arrays"
+
+
+def test_unit_rows_are_the_rows_of_their_first_member(paper_instance, paper_analysis):
+    # the solver reads one row per class / transient agent; each is, bit for
+    # bit, the per-agent row of the unit's first member
+    rng = np.random.default_rng(79)
+    cases = [(paper_instance, paper_analysis)]
+    for inst in [tiled_paper(3)] + [random_instance(rng, n_min=4, n_max=30) for _ in range(40)]:
+        cm = confidence_matrix(inst)
+        cases.append((inst, analyze(cm, decompose(cm), inst.true_opinions)))
+    for inst, an in cases:
+        mi = build_milp(inst, an)
+        d = an.decomposition
+        units = list(d.classes) + [(t,) for t in d.transient]
+        first = [u[0] for u in units]
+        assert mi.lift.tobytes() == mi.rates[first].tobytes()
+        assert mi.base.tobytes() == mi.baseline[first].tobytes()
+        assert mi.sizes.tolist() == [len(u) for u in units]
+        assert not (mi.sizes.flags.writeable or mi.base.flags.writeable or mi.lift.flags.writeable)
 
 
 def _reference_branch_var(z, zlo, zup):
@@ -483,32 +500,30 @@ def test_tiled_paper_solves_cold_only_where_no_parent_exists(monkeypatch):
 
 def _root_restart_reference(mi, node_limit=milp_module.DEFAULT_NODE_LIMIT):
     """The two passes with pass 2 searched from its root: (count, seed spend, payments, nodes)."""
-    q, units = len(mi.pay_agents), _units(mi.analysis.decomposition)
-    reps, sizes = [u[0] for u in units], np.array([len(u) for u in units], dtype=float)
-    free = np.zeros(len(units)), np.ones(len(units))
-    won = _won(mi, reps, np.zeros(q))
+    q, k, sizes = len(mi.pay_agents), len(mi.sizes), mi.sizes
+    free = np.zeros(k), np.ones(k)
+    won = _won(mi, np.zeros(q))
     best = {"count": int(sizes @ won), "won": won}
 
     def visit_count(res, *_):
-        if (count := int(sizes @ (won := _won(mi, reps, res.x[:q])))) > best["count"]:
+        if (count := int(sizes @ (won := _won(mi, res.x[:q])))) > best["count"]:
             best.update(count=count, won=won)
         return math.floor(res.objective + INT_TOL) <= best["count"]
 
-    count_lp = _node_program(mi, units, *free, np.concatenate([np.zeros(q), sizes]))
+    count_lp = _node_program(mi, *free, np.concatenate([np.zeros(q), sizes]))
     nodes = _branch_and_bound(count_lp, q, visit_count, node_limit)[0]
-    seed = _min_spend_for_set(mi, units, best["won"])
+    seed = _min_spend_for_set(mi, best["won"])
     best.update(spend=-seed.objective, pay=seed.x[:q])
 
     def visit_spend(res, *_):
         spend, pay = -res.objective, res.x[:q]
         cheaper = spend < best["spend"] - SPEND_TOL or (
             spend <= best["spend"] + SPEND_TOL and _lex_smaller(pay, best["pay"]))
-        if cheaper and sizes @ _won(mi, reps, pay) >= best["count"]:
+        if cheaper and sizes @ _won(mi, pay) >= best["count"]:
             best.update(spend=spend, pay=pay)
         return spend > best["spend"] + SPEND_TOL
 
-    spend_lp = _node_program(mi, units, *free, np.concatenate([-np.ones(q), np.zeros(len(units))]),
-                             min_count=best["count"])
+    spend_lp = _node_program(mi, *free, np.concatenate([-np.ones(q), np.zeros(k)]), min_count=best["count"])
     nodes += _branch_and_bound(spend_lp, q, visit_spend, node_limit - nodes)[0]
     return best["count"], -seed.objective, best["pay"], nodes
 
