@@ -185,8 +185,10 @@ def _cmd_solve(args) -> int:
         return 0
     mi = milp.build_milp(instance, an, budget=budget)
     solution = milp.solve_milp(mi, node_limit, round_dollars=not args.exact_payments)
-    _emit(_json(_plan_doc(solution.plan, solution.supporter_count, "milp",
-                          optimality=solution.optimality, node_count=solution.node_count)), args)
+    # a node-limited run states how many supporters a plan might still win
+    bound = {"count_bound": solution.count_bound} if solution.optimality == "heuristic" else {}
+    _emit(_json(_plan_doc(solution.plan, solution.supporter_count, "milp", optimality=solution.optimality,
+                          **bound, node_count=solution.node_count)), args)
     return 0
 
 

@@ -338,14 +338,16 @@ class _Simplex:
         return LpResult("optimal", x, float(np.dot(lp.objective, x)), spent + self.pivots, basis)
 
 
-def crash_basis(lp: LinearProgram, basic) -> Basis:
+def crash_basis(lp: LinearProgram, basic, at_upper=None) -> Basis:
     """A start for :func:`solve_lp` with the [structural | slack] columns
-    ``basic`` basic, one per row, and every nonbasic at its lower bound."""
+    ``basic`` basic, one per row, and every nonbasic at its lower bound, or
+    at its upper bound where the mask ``at_upper`` is set."""
     data = Extended.of(lp)
     basic = np.asarray(basic, dtype=np.intp)
     inverse = np.linalg.inv(data.A[:, basic])
     inverse.flags.writeable = False
-    return Basis(basic, np.zeros(len(data.c), dtype=bool), inverse, 0, data)
+    at_upper = np.zeros(len(data.c), dtype=bool) if at_upper is None else np.asarray(at_upper, dtype=bool)
+    return Basis(basic, at_upper, inverse, 0, data)
 
 
 def solve_lp(lp: LinearProgram, start: Basis | None = None) -> LpResult:

@@ -10,18 +10,23 @@ enters the relaxation.  Every node's LP payments fit the budget, so each is
 a plan whose supporters the one rule, ``is_supporter``, decides.  The
 supporter count is optimized first; among maximum-count plans the cheapest
 payment certificate wins, ties resolved toward the lexicographically
-smallest payment vector.  A node whose units fixed to 1 cost more than the
-budget at their lone prices is settled without an LP.  The spend search
-resumes from the count search's tied and unexplored boxes, warm from its own
-root, rather than searching the whole tree again.  Reported payments are
+smallest payment vector.  Before a node's LP, every unit that the budget
+cannot pay, alone or with the classes fixed to 1, is fixed to 0 in its box.
+Each search dives into the 1-branch and then takes the open node with the
+best parent bound.  The spend search resumes from the count search's tied
+and unexplored boxes, warm from the count search's root, rather than
+searching the whole tree again.  Reported payments are
 rounded up to whole dollars when caps and budget allow, matching the dollar
 granularity of the cost data; pass ``round_dollars=False`` for the raw
 certificate.
 """
 
+import heapq
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -100,6 +105,7 @@ class MilpSolution:
     supporter_count: int
     optimality: str  # "proven" | "heuristic"
     node_count: int
+    count_bound: int  # no plan within the budget wins more; supporter_count once pass 1 is done
 
 
 @dataclass(frozen=True)
@@ -217,8 +223,21 @@ def _unit_prices(lift: np.ndarray, caps: np.ndarray, gaps: np.ndarray) -> np.nda
     return price
 
 
+def _price_fixed(prices: np.ndarray, classes: int, budget: float, zlo, zup) -> np.ndarray:
+    """Mask of the free units that no plan within ``budget`` wins with the units fixed to 1.
+
+    ``prices`` are the lone prices of ``_unit_prices``, the ``classes`` class
+    units first.  Classes have disjoint payers, so a class is ruled out when
+    its price plus those of the classes fixed to 1 exceeds the budget; a
+    transient unit shares payers and is ruled out by its own price alone."""
+    spare = budget + FEAS_TOL
+    out = prices > spare
+    out[:classes] = prices[:classes] > spare - prices[:classes][zlo[:classes] > 0.0].sum()
+    return out & (zlo < zup)
+
+
 def _finish(mi: MilpInstance, pay_q: np.ndarray, nodes: int, proven: bool,
-            round_dollars: bool, certified: int = 0) -> MilpSolution:
+            round_dollars: bool, certified: int = 0, open_bound: int = 0) -> MilpSolution:
     payments = np.zeros(mi.instance.n)
     # simplex residue below the spend resolution is not a payment
     payments[mi.pay_agents] = np.where(pay_q > SPEND_TOL, pay_q, 0.0)
@@ -227,9 +246,10 @@ def _finish(mi: MilpInstance, pay_q: np.ndarray, nodes: int, proven: bool,
     if round_dollars:
         payments = _round_payments_up(payments, caps_full, mi.budget)
     plan = evaluate_plan(mi.instance, mi.analysis, payments, budget=mi.budget)
-    if len(plan.supporters) < certified:  # rounding up only adds payments
-        raise RuntimeError(f"plan wins {len(plan.supporters)} supporters, {certified} certified")
-    return MilpSolution(plan, len(plan.supporters), "proven" if proven else "heuristic", nodes)
+    count = len(plan.supporters)
+    if count < certified:  # rounding up only adds payments
+        raise RuntimeError(f"plan wins {count} supporters, {certified} certified")
+    return MilpSolution(plan, count, "proven" if proven else "heuristic", nodes, max(count, open_bound))
 
 
 def _children(lower: np.ndarray, upper: np.ndarray, col: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -241,32 +261,40 @@ def _children(lower: np.ndarray, upper: np.ndarray, col: int) -> list[tuple[np.n
 
 
 def _branch_and_bound(program: LinearProgram, q: int, visit, node_limit: int,
-                      boxes=None, start=None, unpayable=None) -> tuple[int, list]:
-    """Depth-first branch and bound over the indicators after the ``q`` payments.
+                      boxes=None, start=None, fix=None) -> tuple[int, list]:
+    """Branch and bound over the indicators after the ``q`` payments: dive, then take the best bound.
 
     ``program`` is the pass's one relaxation; a node differs from it only
     in its variable bounds and is warm started from its parent's optimal
-    basis (the root from ``start``, cold without one).  A node whose
-    indicators fixed to 1 are ``unpayable(lower[q:])`` is settled as
-    infeasible without an LP.  ``visit(res, lower, upper, integral)``
-    sees every optimal node with its box, may take its payments as the
-    incumbent, and says whether to cut it.  Infeasible and integral nodes
-    are leaves; otherwise the most fractional indicator is branched on, its
-    1-branch explored first.  Given ``boxes``, the root's children are those
-    (lower, upper) boxes instead, searched in order and warm started from
-    the root's basis; a box that holds the root's optimum is branched at
-    once, as the root would be.  Returns the nodes visited and the boxes
-    left unexplored at ``node_limit``, none once the tree is exhausted.
+    basis (the root from ``start``, cold without one).  Before a node's LP,
+    the free indicators that ``fix(lower[q:], upper[q:])`` masks are fixed
+    to 0 in its box.  ``visit(res, lower, upper, integral)`` sees every
+    optimal node with that box, may take its payments as the incumbent, and
+    says whether to cut it.  Infeasible, cut and integral nodes end a dive;
+    otherwise the most fractional indicator is branched on and the dive
+    goes on into its 1-branch.  Each open node carries its parent's LP
+    objective, and after a dive the search takes the open node where that
+    is largest, ties to the most recently created.  Given ``boxes``, the
+    root's children are those (lower, upper) boxes instead, created in
+    reverse so that equal bounds take them in order, and warm started from
+    the root's basis; a box that holds the root's optimum is branched at once,
+    as the root would be.  Returns the nodes visited and the open nodes left
+    at ``node_limit`` as (parent objective, lower, upper), best first; none
+    once the tree is exhausted.
     """
-    stack = [(program.lower, program.upper, start)]
+    created = itertools.count(1)
+    heap = []  # (-parent objective, -creation, lower, upper, start) of the open nodes
+    dive = (-math.inf, 0, program.lower, program.upper, start)
     nodes = 0
-    while stack:
+    while dive or heap:
+        node, dive = dive or heapq.heappop(heap), None
         if nodes >= node_limit:
-            return nodes, [(lower, upper) for lower, upper, _ in reversed(stack)]
-        lower, upper, start = stack.pop()
+            return nodes, [(-key, lower, upper) for key, _, lower, upper, _ in sorted(heap + [node])]
+        _, _, lower, upper, start = node
         nodes += 1
-        if unpayable is not None and unpayable(lower[q:]):
-            continue
+        if fix is not None and (out := fix(lower[q:], upper[q:])).any():
+            upper = upper.copy()
+            upper[q:][out] = 0.0
         res = solve_lp(replace(program, lower=lower, upper=upper), start)
         if res.status != "optimal":
             continue
@@ -282,8 +310,11 @@ def _branch_and_bound(program: LinearProgram, q: int, visit, node_limit: int,
                 held = np.all(lo[q:] - INT_TOL <= res.x[q:]) and np.all(res.x[q:] <= up[q:] + INT_TOL)
                 children += _children(lo, up, q + var) if held else [(lo, up)]
             boxes = None
-        # children share the parent's basis; the last is popped first: try making the unit a supporter
-        stack.extend((lo, up, res.basis) for lo, up in children)
+        # children share the parent's objective and basis; the dive goes on into
+        # the last: try making the unit a supporter
+        *rest, dive = [(-res.objective, -next(created), lo, up, res.basis) for lo, up in children]
+        for child in rest:
+            heapq.heappush(heap, child)
     return nodes, []
 
 
@@ -306,40 +337,39 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
 
     The first pass maximizes the supporter count, from a crash basis with
     each unit's indicator basic in its linking row; the second minimizes
-    total spend among plans achieving that count.  In both, a node whose
-    units fixed to 1 cost more than the budget is settled without an LP.
-    Pass 1 records every box it closes with a bound at least the count of
-    its time, and any box the node limit leaves unexplored.  Pass 2 solves
-    its own root cold and then searches only the recorded boxes whose bound
-    reaches the final count, each warm from that root: pass 1's other leaves
-    are infeasible or bounded below some count it had already won, so no
-    plan with the optimal count lies in them.  Incumbents are compared by
-    count, then spend, then lexicographic payments.  The count and the spend
-    do not depend on exploration order, but the payments of an exact spend
-    tie can: the lexicographic rule compares only the node optima the search
-    visits.  If the node limit is exhausted the best incumbent is returned
-    marked "heuristic".
+    total spend among plans achieving that count.  In both, a node's box
+    fixes to 0 every unit whose lone price, plus the prices of the classes
+    fixed to 1 where it is a class, exceeds the budget.  Pass 1 records
+    every box it closes with a bound at least the count of its time, and any
+    box the node limit leaves unexplored.  Pass 2 starts its root warm from
+    pass 1's root optimum and then searches only the recorded boxes whose
+    bound reaches the final count, each warm from that root: pass 1's other
+    leaves are infeasible or bounded below some count it had already won,
+    so no plan with the optimal count lies in them.  Incumbents are compared
+    by count, then spend, then lexicographic payments.  The count and the
+    spend do not depend on exploration order, but the payments of an exact
+    spend tie can: the lexicographic rule compares only the node optima the
+    search visits.  If the node limit is exhausted the best incumbent is
+    returned marked "heuristic", with ``count_bound`` the largest count that
+    pass 1's open nodes still allow.
     """
     node_limit = resolve_node_limit(node_limit)
     q, k, sizes = len(mi.pay_agents), len(mi.sizes), mi.sizes
     free = np.zeros(k), np.ones(k)
     gaps = np.maximum(mi.threshold - mi.base, 0.0)
-
-    # Classes have disjoint payers, so the prices of classes fixed to 1 add up;
-    # a transient unit shares payers and bounds the spend only by its own price.
-    prices, classes = _unit_prices(mi.lift, mi.caps, gaps), len(mi.analysis.decomposition.classes)
-
-    def unpayable(zlo):
-        fixed = np.where(zlo > 0.0, prices, 0.0)
-        return max(fixed[:classes].sum(), fixed[classes:].max(initial=0.0)) > mi.budget + FEAS_TOL
+    fix = partial(_price_fixed, _unit_prices(mi.lift, mi.caps, gaps),
+                  len(mi.analysis.decomposition.classes), mi.budget)
 
     # Pass 1: maximize the number of supporters; every node's payments are a plan.
     best_won = _won(mi, np.zeros(q))
     best_count = int(sizes @ best_won)
     tied = []  # (bound, lower, upper) of closed nodes whose bound reached the count of their time
+    root = None  # the root's LP result, the first node visited
 
     def visit_count(res, lower, upper, integral):
-        nonlocal best_count, best_won
+        nonlocal best_count, best_won, root
+        if root is None:
+            root = res
         won_now = _won(mi, res.x[:q])
         if (count := int(sizes @ won_now)) > best_count:
             best_count, best_won = count, won_now
@@ -355,11 +385,12 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
     n = q + k
     crash = np.where(gaps > PRIMAL_PIVOT_TOL, q + np.arange(k), n + 1 + np.arange(k))
     nodes, unexplored = _branch_and_bound(count_lp, q, visit_count, node_limit,
-                                          start=crash_basis(count_lp, np.append(n, crash)),
-                                          unpayable=unpayable)
+                                          start=crash_basis(count_lp, np.append(n, crash)), fix=fix)
     # No plan with best_count supporters lies outside these boxes: pass 1's other
     # leaves were infeasible or bounded below a count it had already won.
-    boxes = [(lower, upper) for bound, lower, upper in tied if bound >= best_count] + unexplored
+    boxes = [(lower, upper) for bound, lower, upper in tied if bound >= best_count]
+    boxes += [(lower, upper) for _, lower, upper in unexplored]
+    open_bound = max((math.floor(bound + INT_TOL) for bound, _, _ in unexplored), default=0)
 
     # Pass 2: cheapest certificate for the optimal count, searched only in those boxes.
     seed = _min_spend_for_set(mi, best_won)
@@ -377,9 +408,14 @@ def solve_milp(mi: MilpInstance, node_limit: int | None = None,
         return spend > best_spend + SPEND_TOL
 
     spend_lp = _node_program(mi, *free, np.concatenate([-np.ones(q), np.zeros(k)]), min_count=best_count)
+    # pass 1's root optimum with the count row's slack basic is primal feasible:
+    # its count is at least best_count
+    warm = None if root.basis is None else crash_basis(
+        spend_lp, np.append(root.basis.basic, n + 1 + k), np.append(root.basis.at_upper, False))
     more, left = _branch_and_bound(spend_lp, q, visit_spend, node_limit - nodes, boxes,
-                                   unpayable=unpayable)
-    return _finish(mi, best_pay, nodes + more, not (unexplored or left), round_dollars, best_count)
+                                   start=warm, fix=fix)
+    return _finish(mi, best_pay, nodes + more, not (unexplored or left), round_dollars, best_count,
+                   open_bound)
 
 
 def brute_force_oracle(instance: Instance, analysis: ChainAnalysis,
@@ -435,5 +471,5 @@ def budget_sweep(instance: Instance, budgets, node_limit: int | None = None,
     else:
         def solve(b):
             plan = solve_by_classes(instance, analysis, budget=b)[0]
-            return MilpSolution(plan, len(plan.supporters), "proven", 0)
+            return MilpSolution(plan, len(plan.supporters), "proven", 0, len(plan.supporters))
     return SweepCurve(tuple(values), tuple(map(solve, values)))

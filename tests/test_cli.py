@@ -246,6 +246,17 @@ def test_node_limit_environment(capsys, monkeypatch):
     assert json.loads(out)["optimality"] == "heuristic"
 
 
+def test_only_a_node_limited_solve_prints_its_count_bound(capsys, monkeypatch):
+    # at budget 293 the root's LP bound allows 11 supporters; 8 is the optimum
+    monkeypatch.setenv("OBO_NODE_LIMIT", "1")
+    doc = json.loads(run(capsys, "solve", PAPER, "--budget", "293")[1])
+    assert list(doc)[-5:] == ["supporter_count", "optimality", "count_bound", "node_count", "mode"]
+    assert (doc["optimality"], doc["supporter_count"], doc["count_bound"]) == ("heuristic", 5, 11)
+    monkeypatch.delenv("OBO_NODE_LIMIT")
+    doc = json.loads(run(capsys, "solve", PAPER, "--budget", "293")[1])
+    assert doc["optimality"] == "proven" and "count_bound" not in doc
+
+
 def test_node_limit_environment_is_checked_without_transient_states(capsys, monkeypatch, tmp_path):
     path = tmp_path / "classes.json"
     path.write_text(json.dumps(classes_raw(np.random.default_rng(11), 40, budget=30.0)))

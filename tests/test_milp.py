@@ -306,10 +306,10 @@ def test_tiled_paper_node_pivots(monkeypatch):
     sols = [solve_milp(build_milp(inst, an, budget=b)) for b in (99, 169, 293)]
     assert [sol.supporter_count for sol in sols] == [4, 7, 13]
     assert all(sol.optimality == "proven" for sol in sols)
-    # 95 nodes, of which 21 are settled by their units' prices without an LP,
-    # plus one seed LP per budget
-    assert sum(sol.node_count for sol in sols) == 95
-    assert len(pivots) == 95 - 21 + 3 == 77
+    # 42 nodes, each with one LP, plus one seed LP per budget; the depth-first
+    # search took 95 nodes, 21 of them settled by price without an LP
+    assert sum(sol.node_count for sol in sols) == 42
+    assert len(pivots) == 42 + 3 == 45
     assert sum(pivots) <= 1000
 
 
@@ -483,9 +483,9 @@ def test_branch_var_and_lex_order_match_the_loops():
 
 def test_tiled_paper_solves_cold_only_where_no_parent_exists(monkeypatch):
     # every warm node, infeasible ones included, is settled on the warm path
-    # with the carried inverse, and the pass-1 root starts from its crash
-    # basis: only the pass-2 root and the pass-2 seed of each budget start
-    # from the slack basis
+    # with the carried inverse, the pass-1 root starts from its crash basis
+    # and the pass-2 root from the pass-1 root's optimum: only the pass-2
+    # seed of each budget starts from the slack basis
     colds = []
     install = lp_module._Simplex._install_start_basis
     monkeypatch.setattr(lp_module._Simplex, "_install_start_basis",
@@ -495,10 +495,38 @@ def test_tiled_paper_solves_cold_only_where_no_parent_exists(monkeypatch):
     an = analyze(cm, decompose(cm), inst.true_opinions)
     sols = [solve_milp(build_milp(inst, an, budget=b)) for b in (99, 169, 293)]
     assert [sol.supporter_count for sol in sols] == [4, 7, 13]
-    assert len(colds) == 3 * 2
+    assert len(colds) == 3 * 1
 
 
-def _root_restart_reference(mi, node_limit=milp_module.DEFAULT_NODE_LIMIT):
+def _depth_first(program, q, visit, node_limit, boxes=None, **_):
+    """The search without price fixing or a start for the root: depth-first,
+    1-branch first, every child warm from its parent."""
+    stack = [(math.inf, program.lower, program.upper, None)]
+    nodes = 0
+    while stack:
+        if nodes >= node_limit:
+            return nodes, [(bound, lower, upper) for bound, lower, upper, _ in reversed(stack)]
+        _, lower, upper, start = stack.pop()
+        nodes += 1
+        res = milp_module.solve_lp(replace(program, lower=lower, upper=upper), start)
+        if res.status != "optimal":
+            continue
+        var = _branch_var(res.x[q:], lower[q:], upper[q:])
+        if visit(res, lower, upper, var is None) or var is None:
+            continue
+        if boxes is None:
+            children = milp_module._children(lower, upper, q + var)
+        else:
+            children = []
+            for lo, up in reversed(boxes):
+                held = np.all(lo[q:] - INT_TOL <= res.x[q:]) and np.all(res.x[q:] <= up[q:] + INT_TOL)
+                children += milp_module._children(lo, up, q + var) if held else [(lo, up)]
+            boxes = None
+        stack.extend((res.objective, lo, up, res.basis) for lo, up in children)
+    return nodes, []
+
+
+def _root_restart_reference(mi, node_limit=milp_module.DEFAULT_NODE_LIMIT, search=_branch_and_bound):
     """The two passes with pass 2 searched from its root: (count, seed spend, payments, nodes)."""
     q, k, sizes = len(mi.pay_agents), len(mi.sizes), mi.sizes
     free = np.zeros(k), np.ones(k)
@@ -511,7 +539,7 @@ def _root_restart_reference(mi, node_limit=milp_module.DEFAULT_NODE_LIMIT):
         return math.floor(res.objective + INT_TOL) <= best["count"]
 
     count_lp = _node_program(mi, *free, np.concatenate([np.zeros(q), sizes]))
-    nodes = _branch_and_bound(count_lp, q, visit_count, node_limit)[0]
+    nodes = search(count_lp, q, visit_count, node_limit)[0]
     seed = _min_spend_for_set(mi, best["won"])
     best.update(spend=-seed.objective, pay=seed.x[:q])
 
@@ -524,7 +552,7 @@ def _root_restart_reference(mi, node_limit=milp_module.DEFAULT_NODE_LIMIT):
         return spend > best["spend"] + SPEND_TOL
 
     spend_lp = _node_program(mi, *free, np.concatenate([-np.ones(q), np.zeros(k)]), min_count=best["count"])
-    nodes += _branch_and_bound(spend_lp, q, visit_spend, node_limit - nodes)[0]
+    nodes += search(spend_lp, q, visit_spend, node_limit - nodes)[0]
     return best["count"], -seed.objective, best["pay"], nodes
 
 
@@ -567,14 +595,17 @@ def test_tiled_paper_resumed_pass_two_nodes():
 
 
 def test_node_limited_runs_keep_the_pass_one_count_and_the_seed_spend():
+    # against the depth-first search at the same limit: a higher count in 26
+    # of these 360 runs and a lower one in none; 68 runs end heuristic, not 99
     limits = (1, 2, 3, 5, 8, 13, 21, 40, 80, 200)
     checked = 0
     for mi in _random_milps(173, 12, (1.0, 0.2, 0.05)):
         for limit in limits:
             sol = solve_milp(mi, node_limit=limit, round_dollars=False)
-            count, seed_spend, _, _ = _root_restart_reference(mi, limit)
-            assert sol.supporter_count == count
-            assert sol.plan.total_spend <= seed_spend + SPEND_TOL
+            count, seed_spend, _, _ = _root_restart_reference(mi, limit, _depth_first)
+            assert sol.supporter_count >= count
+            if sol.supporter_count == count:
+                assert sol.plan.total_spend <= seed_spend + SPEND_TOL
             assert sol.node_count <= limit
             checked += sol.optimality == "heuristic"
     assert checked >= 20
@@ -598,7 +629,43 @@ def test_node_limited_pass_one_hands_its_stack_to_pass_two(monkeypatch):
     (none, unexplored), (boxes, _) = calls
     assert none is None and unexplored
     # the unexplored boxes follow the tied ones, in the order pass 1 would have popped them
-    assert all(a is c and b is d for (a, b), (c, d) in zip(boxes[-len(unexplored):], unexplored))
+    assert all(a is c and b is d for (a, b), (_, c, d) in zip(boxes[-len(unexplored):], unexplored))
+
+
+def test_node_limited_runs_bound_the_optimum():
+    # count_bound is the count found, or the best parent bound among pass 1's open nodes
+    inst = tiled_paper(2)
+    cm = confidence_matrix(inst)
+    tiled = build_milp(inst, analyze(cm, decompose(cm), inst.true_opinions), budget=169.0)
+    sol = solve_milp(tiled, node_limit=10)
+    assert sol.optimality == "heuristic"
+    assert sol.supporter_count <= highs_per_agent_optimum(tiled) == 7 <= sol.count_bound
+    heuristic = 0
+    for mi in _random_milps(173, 8, (0.2, 0.05)):
+        if mi.degenerate:
+            continue
+        best = highs_per_agent_optimum(mi)
+        for limit in (1, 3, 8, 21, 80):
+            sol = solve_milp(mi, node_limit=limit)
+            assert sol.supporter_count <= best <= sol.count_bound
+            if sol.optimality == "proven":
+                assert sol.count_bound == sol.supporter_count
+            heuristic += sol.optimality == "heuristic"
+    assert heuristic >= 10
+
+
+def test_hard_draws_prove_the_highs_optimum():
+    # the five n = 80 draws and the first n = 120 draw of one seed; the
+    # depth-first search needed 14,056 nodes to prove the last one
+    rng = np.random.default_rng([7, 100])
+    raws = [random_raw(rng, n, n, 0.05) for n in (80,) * 5 + (120,)]
+    for raw, best in zip(raws, (19, 23, 80, 59, 40, 72)):
+        inst = validate(raw)
+        cm = confidence_matrix(inst)
+        mi = build_milp(inst, analyze(cm, decompose(cm), inst.true_opinions))
+        sol = solve_milp(mi, node_limit=6000)
+        assert sol.optimality == "proven"
+        assert sol.supporter_count == highs_per_agent_optimum(mi) == best
 
 
 def test_sweep_builds_the_milp_data_once(paper_instance, paper_analysis, monkeypatch):
@@ -635,19 +702,23 @@ def _pretest_corpus():
     yield from _random_milps(181, 15, (1.0, 0.2, 0.05))
 
 
-def _settled_node_statuses(monkeypatch, mis):
-    """solve_lp's status on every node the price pretest settles, with the
-    node's other indicators freed: a looser box than the node's own."""
+def _price_fixed_statuses(monkeypatch, mis):
+    """solve_lp's status on every box that price fixing rules out: a node's
+    box with one unit it fixes to 0 set to 1 instead and the node's other
+    free indicators left free."""
     statuses = []
 
-    def checking(program, q, *args, unpayable=None, **kwargs):
-        def check(zlo):
-            if settled := unpayable(zlo):
-                box = replace(program, lower=np.concatenate([program.lower[:q], zlo]))
+    def checking(program, q, *args, fix=None, **kwargs):
+        def check(zlo, zup):
+            out = fix(zlo, zup)
+            for u in np.flatnonzero(out):
+                lower = np.concatenate([program.lower[:q], zlo])
+                lower[q + u] = 1.0
+                box = replace(program, lower=lower, upper=np.concatenate([program.upper[:q], zup]))
                 statuses.append(milp_module.solve_lp(box).status)
-            return settled
+            return out
 
-        return _branch_and_bound(program, q, *args, unpayable=unpayable and check, **kwargs)
+        return _branch_and_bound(program, q, *args, fix=check, **kwargs)
 
     monkeypatch.setattr(milp_module, "_branch_and_bound", checking)
     for mi in mis:
@@ -655,35 +726,35 @@ def _settled_node_statuses(monkeypatch, mis):
     return statuses
 
 
-def test_price_settled_nodes_are_infeasible(monkeypatch):
-    statuses = _settled_node_statuses(monkeypatch, _pretest_corpus())
-    assert len(statuses) >= 50  # 106 here
+def test_price_fixed_units_cannot_be_won(monkeypatch):
+    statuses = _price_fixed_statuses(monkeypatch, _pretest_corpus())
+    assert len(statuses) >= 50  # 256 here
     assert set(statuses) == {"infeasible"}
 
 
-def test_inflated_prices_settle_a_feasible_node(monkeypatch):
+def test_inflated_prices_fix_a_winnable_unit(monkeypatch):
     # the soundness check above catches prices only 1% too high
     prices = milp_module._unit_prices
     monkeypatch.setattr(milp_module, "_unit_prices", lambda *args: 1.01 * prices(*args))
-    assert "optimal" in _settled_node_statuses(monkeypatch, _pretest_corpus())
+    assert "optimal" in _price_fixed_statuses(monkeypatch, _pretest_corpus())
 
 
-def test_pretest_and_crash_start_change_no_node_and_no_payment_bit(monkeypatch):
-    def reference(*args, start=None, unpayable=None, **kwargs):
-        return _branch_and_bound(*args, **kwargs)
-
+def test_price_fixing_and_best_bound_keep_every_count_and_spend(monkeypatch):
+    # against the depth-first search without price fixing and root starts
+    ours = theirs = 0
     for mi in _pretest_corpus():
-        for round_dollars in (True, False):
-            with monkeypatch.context() as patch:
-                patch.setattr(milp_module, "_branch_and_bound", reference)
-                ref = solve_milp(mi, round_dollars=round_dollars)
-            sol = solve_milp(mi, round_dollars=round_dollars)
-            assert (sol.node_count, sol.optimality) == (ref.node_count, ref.optimality)
-            assert sol.plan.payments.tobytes() == ref.plan.payments.tobytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(milp_module, "_branch_and_bound", _depth_first)
+            ref = solve_milp(mi, round_dollars=False)
+        sol = solve_milp(mi, round_dollars=False)
+        assert (sol.supporter_count, sol.optimality) == (ref.supporter_count, ref.optimality)
+        assert abs(sol.plan.total_spend - ref.plan.total_spend) <= 1e-9
+        ours, theirs = ours + sol.node_count, theirs + ref.node_count
+    assert ours < theirs  # 435 against 612
 
 
 @pytest.mark.parametrize("budget,paid,supporters,spend", [
-    (99, {"j1": 99.0}, ["i1", "j1", "k1", "l1"], 99.0),
+    (99, {"j0": 99.0}, ["i0", "j0", "k0", "l0"], 99.0),
     (169, {"j1": 169.0}, ["e1", "g1", "h1", "i1", "j1", "k1", "l1"], 169.0),
     (293, {"j0": 117.0, "j1": 169.0},
      ["g0", "h0", "i0", "j0", "k0", "l0", "e1", "g1", "h1", "i1", "j1", "k1", "l1"], 286.0),
@@ -691,7 +762,7 @@ def test_pretest_and_crash_start_change_no_node_and_no_payment_bit(monkeypatch):
 def test_tiled_paper_plans_are_pinned(budget, paid, supporters, spend):
     # the copies tie on spend, and the lexicographic tie-break compares only the
     # node optima the search visits: a change to the tree can pay the same $99
-    # to j0 instead of j1
+    # to j1 instead of j0
     inst = tiled_paper(2)
     cm = confidence_matrix(inst)
     sol = solve_milp(build_milp(inst, analyze(cm, decompose(cm), inst.true_opinions), budget=budget))
