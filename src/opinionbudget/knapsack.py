@@ -7,12 +7,11 @@ numpy update per item and one boolean decision table from which the
 selection is backtracked.  Only the values the budget can buy are filled:
 weightless classes are taken up front, and the DP stops at a cap from the
 greedy fractional (Dantzig) bound, so its cost is O(items x cap) time and
-memory, not O(items x total value).  Ties go to the lightest selection,
-then the lexicographically smallest; an integer rank per value orders the
-kept selections, spaced so that an item that takes only writes the values
-it takes, and re-densified (one ``np.unique``) only when the spacing runs
-out, not after every item.  The FPTAS rescales values first and inherits
-the same DP.
+memory, not O(items x total value).  Items are added from the last to
+the first, so a selection's weight is summed from its last item to its
+first, and ties (the lightest selection, then the lexicographically
+smallest) are settled by one ``<=`` per value.  The FPTAS rescales values
+first and inherits the same DP.
 """
 
 from dataclasses import dataclass
@@ -68,76 +67,51 @@ def _min_weight_dp(
     total value.  Cost: O(items x cap) numpy work and one table of that
     size.
 
-    Among equal weights the lexicographically smallest selection (items by
-    input position) wins.  ``rank`` orders the current best selections,
-    with the end of a tuple sorting after every index; extending the
-    selection at ``val - v`` beats the one at ``val`` iff its rank is lower.
-    Items are added in input order with the same ``prev + w`` sums as a
-    per-value loop would form, so every weight is bit-identical to it.
-    Value-0 items are never taken.  An unreachable value holds the rank
-    ``-gap``, below every selection's, so an ``inf`` tie is never taken
-    either.
+    Items are added from the last to the first: after item ``i`` the
+    table holds the best selections of items ``i..end``, and a kept
+    weight is the sum of its selection from its last item to its first.
+    Among equal weights the lexicographically smallest selection (items
+    by input position) wins, and one ``<=`` settles it: the candidate
+    ``{i} + R`` has ``R`` among the items after ``i``, and so has the
+    selection kept at that value, so on a tie the candidate, headed by
+    ``i``, is the smaller.  ``cand < inf`` leaves ``take`` false where
+    both sides are unreachable, so an unreachable value backtracks to
+    ``()``.  Value-0 items are never taken.
 
     Item ``i`` only updates the values from ``v_i`` up to ``reach_i``, the
-    total value of items ``0..i``, or ``cap`` if lower: every value above
+    total value of items ``i..end``, or ``cap`` if lower: every value above
     ``reach_i`` is still unreachable.  The cap changes no entry it keeps:
-    ``best_w[val]``, ``take[:, val]`` and the order of the ranks at
-    ``val`` are formed from lower values only, so every cap at or above
-    ``val`` gives the same bits there, and so does every backtrack from
-    ``val``.
-
-    Only the order of the ranks matters, not their values.  Distinct ranks
-    lie at least ``2 * half`` apart.  An item that takes gives each value
-    it takes the rank of its source minus ``half``: that sorts just below
-    the source's own rank and above every lower rank, as extending a
-    selection by the item sorts just before the selection itself.  Kept
-    values keep their rank, and ``half`` halves.  Ranks start ``gap`` =
-    ``2**(62 - (cap + 1).bit_length())`` apart; when ``half`` reaches 0
-    they are re-densified with ``np.unique`` and spread ``gap`` apart again,
-    so no rank leaves int64.
+    ``best_w[val]`` and ``take[:, val]`` are formed from lower values
+    only, so every cap at or above ``val`` gives the same bits there, and
+    so does every backtrack from ``val``.
     """
     total = sum(values)
     cap = total if cap is None else min(cap, total)
-    gap = 1 << (62 - (cap + 1).bit_length())
     best_w = np.full(cap + 1, np.inf)
     best_w[0] = 0.0
-    rank = np.full(cap + 1, -gap, dtype=np.int64)
-    rank[0] = 0
     take = np.zeros((len(values), cap + 1), dtype=bool)
-    half = gap >> 1
     reach = 0
-    for idx, (v, w) in enumerate(zip(values, weights)):
+    for idx in reversed(range(len(values))):
+        v, w = values[idx], weights[idx]
         reach += v
         top = min(reach, cap) + 1  # values v .. top - 1 are updated
         if v == 0 or top <= v:
             continue
         cand = best_w[:top - v] + w
         cur = best_w[v:top]
-        low = rank[:top - v]
-        row = cand < cur
-        tie = cand == cur
-        if tie.any():
-            row |= tie & (low < rank[v:top])
-        if not row.any():
-            continue
+        row = (cand <= cur) & (cand < np.inf)
         take[idx, v:top] = row
         np.fmin(cur, cand, out=cur)  # cand where taken; equal weights on a tie
-        np.copyto(rank[v:top], low - half, where=row)
-        half >>= 1
-        if not half:
-            keys, dense = np.unique(rank, return_inverse=True)
-            rank = (dense.reshape(-1) - int(keys[0] <= -gap)) * gap
-            half = gap >> 1
     return best_w, take
 
 
 def _backtrack(take: np.ndarray, values: list[int], val: int) -> tuple[int, ...]:
     """Item positions of the selection the DP keeps for total value ``val``."""
     sel = []
-    for idx in reversed(range(len(values))):
+    for idx, v in enumerate(values):
         if take[idx, val]:
-            sel.insert(0, idx)
-            val -= values[idx]
+            sel.append(idx)
+            val -= v
     return tuple(sel)
 
 
@@ -145,16 +119,17 @@ def _value_cap(values: list[int], weights: list[float], budget: float) -> int:
     """A value that no selection fitting ``budget`` exceeds, for :func:`_min_weight_dp`.
 
     The DP answer at ``budget`` is a selection ``S`` whose weight, summed
-    in item order in floating point, is at most ``budget + WEIGHT_TOL``.
-    Its exact weight exceeds that sum by a relative error of at most
-    (items x 2**-53), far below the 1e-9 by which ``room`` inflates the
-    budget, so ``S`` is feasible in the fractional relaxation at ``room``,
-    and its value is at most that relaxation's optimum (Dantzig's bound):
-    whole items in ascending ``w / v`` order while their weights fit, and
-    the fraction of the next one that fills ``room``.  The float ratios,
-    sort and cumulative sums move that bound by far less than one, and the
-    bound is floored, so adding the largest item value keeps the result
-    above every value ``S`` can have.  Value-0 items add nothing and are
+    from its last item to its first in floating point, is at most
+    ``budget + WEIGHT_TOL``.  Its exact weight exceeds that sum by a
+    relative error of at most (items x 2**-53) in any summation order,
+    far below the 1e-9 by which ``room`` inflates the budget, so ``S`` is
+    feasible in the fractional relaxation at ``room``, and its value is
+    at most that relaxation's optimum (Dantzig's bound): whole items in
+    ascending ``w / v`` order while their weights fit, and the fraction
+    of the next one that fills ``room``.  The float ratios, sort and
+    cumulative sums move that bound by far less than one, and the bound
+    is floored, so adding the largest item value keeps the result above
+    every value ``S`` can have.  Value-0 items add nothing and are
     left out; a bound that is not finite falls back to the total value.
     """
     total = sum(values)
@@ -182,14 +157,14 @@ def _select(items: list[KnapsackItem], values: list[int], budget: float) -> Knap
 
     The DP is capped by :func:`_value_cap`.  When the empty selection fits,
     items with ``weight == 0`` and a positive value are taken without
-    entering it.  That is exact: adding a zero weight to a sum changes no
-    bit, so by the DP's own induction the minimal weight at ``value(S) +
-    value(z)`` is at most ``S``'s weight for any selection ``S`` without
-    such an item ``z``, and the highest value that fits therefore holds
-    every ``z``.  Inserting one common set into two sorted tuples of the
-    same value keeps their lexicographic order, so the tie rule picks the
-    same selection as a DP over all items would.  When not even the empty
-    selection fits, nothing is taken.
+    entering it.  That is exact: adding a zero weight anywhere in a sum
+    changes no bit, so by the DP's own induction the minimal weight at
+    ``value(S) + value(z)`` is at most ``S``'s weight for any selection
+    ``S`` without such an item ``z``, and the highest value that fits
+    therefore holds every ``z``.  Inserting one common set into two
+    sorted tuples of the same value keeps their lexicographic order, so
+    the tie rule picks the same selection as a DP over all items would.
+    When not even the empty selection fits, nothing is taken.
     """
     weights = [it.weight for it in items]
     free = []
@@ -222,8 +197,8 @@ def knapsack_fptas(items: list[KnapsackItem], budget: float, epsilon: float) -> 
     """(1 - epsilon)-approximate selection via the classic value-scaling DP.
 
     Runtime is polynomial in ``len(items) / epsilon``.  When the scale
-    factor is at most 1 the instance is already small and the exact DP is
-    used directly.
+    factor is at most 1 the instance is already small and the values are
+    not scaled: the exact DP over the items that fit.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -232,10 +207,9 @@ def knapsack_fptas(items: list[KnapsackItem], budget: float, epsilon: float) -> 
         return KnapsackSolution((), 0, 0.0)
     vmax = max(it.value for it in fit)
     scale = epsilon * vmax / len(fit)
-    if scale <= 1.0:
-        return knapsack_exact(fit, budget)
     # Items whose value scales to 0 are never taken by the DP.
-    return _select(fit, [floor(it.value / scale) for it in fit], budget)
+    values = [it.value if scale <= 1.0 else floor(it.value / scale) for it in fit]
+    return _select(fit, values, budget)
 
 
 def _priced_classes(instance: Instance, analysis: ChainAnalysis) -> tuple[list[KnapsackItem], np.ndarray]:

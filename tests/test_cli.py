@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opinionbudget import cli
+from opinionbudget import analyze, cli, confidence_matrix, decompose, validate
 from opinionbudget.cli import main
+from opinionbudget.knapsack import class_items
 
 from conftest import PAPER_EXAMPLE, classes_raw
 
@@ -192,6 +194,50 @@ def test_byte_identical_reruns(capsys):
     _, first = run(capsys, "solve", PAPER, "--budget", "293")
     _, second = run(capsys, "solve", PAPER, "--budget", "293")
     assert first == second
+
+
+def copies_raw(count):
+    """No-transient instance of ``count`` identical copies of one 3-agent class."""
+    block = [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.4, 0.4, 0.2]]
+    agents = [f"c{k}m{r}" for k in range(count) for r in range(3)]
+    edges = [{"from": f"c{k}m{r}", "to": f"c{k}m{c}", "w": block[r][c]}
+             for k in range(count) for r in range(3) for c in range(3)]
+    return {"agents": agents, "edges": edges, "opinions": [0.1, 0.35, 0.6] * count,
+            "costs": [2.5, 1.0, 4.0] * count, "threshold": 0.7, "budget": 0.0}
+
+
+def class_prices(raw):
+    instance = validate(raw)
+    cm = confidence_matrix(instance)
+    return [it.weight for it in class_items(instance, analyze(cm, decompose(cm), instance.true_opinions))]
+
+
+#: sha256 of ``obo solve`` stdout, exact and with ``--epsilon 0.3``, which
+#: print the same bytes on these instances.
+CLASS_PATH_PINS = {
+    ("classes", 0.1): "449d8de845cb69c14067a4499fb3da97f181ecfabb1ba35e5c11f92f47c49a3d",
+    ("classes", 0.3): "88e515c1fb0cfefc630dacdda5452347f5fbc871b1fa94fd2c603eb6487a4312",
+    ("classes", 0.5): "6d9ec81b2302d9c077efc2011c6e60331f6eb58ebfe205fcfbc357ce0c02e47c",
+    ("copies", 8.5): "6e4208fb0d9639fe4462fb11a9abf0e17d5b8b400f1fd326e572aa1dddd1bd35",
+}
+
+
+def test_class_path_output_is_pinned(capsys, tmp_path):
+    """A 2,000-agent class instance at three fractions of its total class
+    price, and 17 identical classes at 8.5 class prices, where every choice
+    of 8 classes ties exactly and the first 8 must win."""
+    raws = {"classes": classes_raw(np.random.default_rng(26), 2000), "copies": copies_raw(17)}
+    for (name, fraction), digest in CLASS_PATH_PINS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raws[name]))
+        prices = class_prices(raws[name])
+        budget = repr(fraction * (sum(prices) if name == "classes" else prices[0]))
+        for extra in ((), ("--epsilon", "0.3")):
+            code, out = run(capsys, "solve", str(path), "--budget", budget, *extra)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+    supporters = json.loads(out)["supporters"]
+    assert supporters == [f"c{k}m{r}" for k in range(8) for r in range(3)]
 
 
 def test_out_file(capsys, tmp_path):

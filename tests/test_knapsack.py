@@ -85,6 +85,26 @@ def test_exact_matches_enumeration():
         assert tuple(sorted(sol.selected)) == sel
 
 
+def test_tie_rule_matches_enumeration_on_integer_weights():
+    """Integer weights sum exactly in every order, so this pins "lightest,
+    then lexicographically smallest" apart from the DP's arithmetic."""
+    rng = np.random.default_rng(151)
+    for t in range(150):
+        n = int(rng.integers(1, 15))
+        if t % 2:  # many identical items
+            kinds = [(int(rng.integers(1, 7)), float(rng.integers(0, 4))) for _ in range(2)]
+            pairs = [kinds[int(k)] for k in rng.integers(0, 2, n)]
+        else:
+            pairs = [(int(rng.integers(1, 7)), float(rng.integers(0, 4))) for _ in range(n)]
+        items = [KnapsackItem(i, v, w) for i, (v, w) in enumerate(pairs)]
+        budget = float(rng.integers(0, sum(w for _, w in pairs) + 2))
+        value, weight, sel = enumerate_best(items, budget)
+        # values are at most 6, so the FPTAS scale eps * vmax / len(fit) is at most 1
+        eps = min(0.5, max(1, sum(it.weight <= budget for it in items)) / 6)
+        for sol in (knapsack_exact(items, budget), knapsack_fptas(items, budget, eps)):
+            assert (sol.total_value, sol.total_weight, sol.selected) == (value, weight, sel)
+
+
 def test_exact_lexicographic_tie_break():
     items = [KnapsackItem(0, 2, 5.0), KnapsackItem(1, 2, 5.0)]
     sol = knapsack_exact(items, 5.0)
@@ -195,18 +215,22 @@ def test_class_items_on_modified_paper_instance(paper_instance, paper_analysis):
 
 
 def _reference_min_weight_dp(values, weights):
-    """Per-value tuple DP: the minimal weight and its lex-smallest selection."""
+    """Per-value tuple DP, items from last to first: the minimal weight
+    and its lex-smallest selection."""
     total = sum(values)
     best_w = [np.inf] * (total + 1)
     best_sel = [()] * (total + 1)
     best_w[0] = 0.0
-    for idx, (v, w) in enumerate(zip(values, weights)):
+    for idx in reversed(range(len(values))):
+        v, w = values[idx], weights[idx]
+        if v == 0:
+            continue
         for val in range(total, v - 1, -1):
             prev = best_w[val - v]
             if prev == np.inf:
                 continue
             cand_w = prev + w
-            cand_sel = best_sel[val - v] + (idx,)
+            cand_sel = (idx,) + best_sel[val - v]
             if cand_w < best_w[val] or (cand_w == best_w[val] and cand_sel < best_sel[val]):
                 best_w[val] = cand_w
                 best_sel[val] = cand_sel
@@ -302,7 +326,7 @@ def test_solve_by_classes_prices_each_class_once(monkeypatch):
 
 def long_tie_lists(rng, count):
     """Lists of 150-200 items, values 1-6, weights in {0, 1, 2, 3} or from
-    a 3-value pool: long enough that the DP compresses its ranks."""
+    a 3-value pool: long runs of exact weight ties."""
     for t in range(count):
         n = int(rng.integers(150, 201))
         values = [int(v) for v in rng.integers(1, 7, n)]
@@ -310,27 +334,29 @@ def long_tie_lists(rng, count):
         yield values, [float(w) for w in weights]
 
 
-def test_dp_matches_reference_through_rank_compression(monkeypatch):
-    compressions = []
-    unique = np.unique
-
-    def counting(*args, **kwargs):
-        compressions.append(1)
-        return unique(*args, **kwargs)
-
-    monkeypatch.setattr(np, "unique", counting)
+def test_dp_matches_reference_on_long_tie_lists():
     rng = np.random.default_rng(113)
     for values, weights in long_tie_lists(rng, 4):
-        compressions.clear()
         ref_w, ref_sel = _reference_min_weight_dp(values, weights)
         best_w, take = _min_weight_dp(values, weights)
-        assert len(compressions) >= 2
         assert best_w.tolist() == ref_w
         for val in range(len(ref_w)):
             assert _backtrack(take, values, val) == ref_sel[val]
         items = [KnapsackItem(i, v, w) for i, (v, w) in enumerate(zip(values, weights))]
         budget = float(rng.uniform(0, sum(weights) + 1))
         assert knapsack_exact(items, budget).selected == _reference_pick(values, weights, budget)
+
+
+def test_kept_weight_sums_its_selection_from_last_to_first():
+    rng = np.random.default_rng(157)
+    lists = [*tie_heavy_lists(rng, 400), *long_tie_lists(rng, 2)]
+    for values, weights in lists:
+        best_w, take = _min_weight_dp(values, weights)
+        for val in np.flatnonzero(np.isfinite(best_w)).tolist():
+            folded = 0.0
+            for i in reversed(_backtrack(take, values, val)):
+                folded += weights[i]
+            assert folded.hex() == float(best_w[val]).hex()
 
 
 def test_fptas_matches_reference_through_rank_compression():
